@@ -10,8 +10,7 @@
 //   2. Bit-packed encoding stores low-cardinality int64 chunks at >= 3x
 //      fewer bytes than plain.
 //   3. Whole-query bit-identity: scalar vs SIMD runs of a predicate +
-//      aggregate query set return identical rows at pool widths 1 and 4
-//      under all three scan modes (row-wise / block-eval / late-mat).
+//      aggregate query set return identical rows at pool widths 1 and 4.
 //
 // Emits BENCH_simd_kernels.json (+ metrics sidecars); exits 2 when a gate
 // misses. On a host whose dispatcher resolves to the scalar ISA (or a
@@ -209,7 +208,7 @@ int main() {
 
   // ------------------------------------- whole-query scalar/SIMD identity
   // Clusters at pool widths 1 and 4 over zero-latency simulated S3; every
-  // (query, scan mode, width) cell must be bit-identical scalar vs SIMD.
+  // (query, width) cell must be bit-identical scalar vs SIMD.
   bool identity_ok = true;
   uint64_t identity_cells = 0;
   {
@@ -248,30 +247,23 @@ int main() {
       fixtures.push_back(std::move(f));
     }
 
-    constexpr ScanMode kModes[] = {ScanMode::kRowWise, ScanMode::kBlockEval,
-                                   ScanMode::kLateMat};
     for (const auto& [name, spec] : IdentityQuerySet()) {
       for (const auto& f : fixtures) {
-        for (ScanMode mode : kModes) {
-          EonSession simd_session(f->cluster.get(), "", /*seed=*/41);
-          simd_session.set_scan_mode(mode);
-          auto with_simd = simd_session.Execute(spec);
+        EonSession simd_session(f->cluster.get(), "", /*seed=*/41);
+        auto with_simd = simd_session.Execute(spec);
 
-          simd::ForceScalarForTest(true);
-          EonSession scalar_session(f->cluster.get(), "", /*seed=*/41);
-          scalar_session.set_scan_mode(mode);
-          auto with_scalar = scalar_session.Execute(spec);
-          simd::ForceScalarForTest(false);
+        simd::ForceScalarForTest(true);
+        EonSession scalar_session(f->cluster.get(), "", /*seed=*/41);
+        auto with_scalar = scalar_session.Execute(spec);
+        simd::ForceScalarForTest(false);
 
-          ++identity_cells;
-          if (!with_simd.ok() || !with_scalar.ok() ||
-              !BitIdentical(with_simd->rows, with_scalar->rows)) {
-            identity_ok = false;
-            fprintf(stderr, "IDENTITY MISMATCH: %s mode %s width %llu\n",
-                    name.c_str(), ScanModeName(mode),
-                    static_cast<unsigned long long>(
-                        f->cluster->exec_pool()->width()));
-          }
+        ++identity_cells;
+        if (!with_simd.ok() || !with_scalar.ok() ||
+            !BitIdentical(with_simd->rows, with_scalar->rows)) {
+          identity_ok = false;
+          fprintf(stderr, "IDENTITY MISMATCH: %s width %llu\n", name.c_str(),
+                  static_cast<unsigned long long>(
+                      f->cluster->exec_pool()->width()));
         }
       }
     }

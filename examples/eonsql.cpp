@@ -15,7 +15,7 @@
 //   \nodes             node status + cache stats
 //   \sessions          live serving sessions (system_sessions)
 //   \pools             admission resource pools (system_resource_pools)
-//   \set <key> <v>     session option: scan_mode / crunch / pool / trace
+//   \set <key> <v>     session option: crunch / pool / trace
 //   \storage           shared-storage metrics
 //   \profile           full profile of the last query (phases, cache, $)
 //   \trace [id]        latency attribution of a traced query + Chrome
@@ -289,8 +289,8 @@ int main() {
         ShowNodes(cluster->get());
       } else if (cmd == "sessions") {
         QueryAndPrint(&client,
-                      "SELECT session_id, connected_node, pool, scan_mode, "
-                      "crunch, state, queries, prepared_statements "
+                      "SELECT session_id, connected_node, pool, crunch, "
+                      "state, queries, prepared_statements "
                       "FROM system_sessions");
       } else if (cmd == "pools") {
         QueryAndPrint(&client,

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Build the concurrency-sensitive tests under ThreadSanitizer and run
 # everything labeled `race` (see tests/CMakeLists.txt). This covers the
-# parallel differential suite, including the scan-mode matrix (row-wise /
-# block-eval / late-mat × crunch × pool width), so encoded predicate
+# parallel differential suite (crunch × pool width), so encoded predicate
 # evaluation and selective decode run under TSan at every width; the
 # Data Collector rings (producers vs snapshot readers, test_obs); and
 # system-table scans racing exec-pool query producers

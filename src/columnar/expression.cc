@@ -21,58 +21,12 @@ inline bool CmpHolds(CmpOp op, int c) {
   return false;
 }
 
-/// One comparison over a block of decoded values. The block is
-/// homogeneously typed (it is a schema column), so the type dispatch is
-/// hoisted out of the row loop; the typed accessors CHECK on type
-/// confusion exactly like Value::Compare does on the row path.
-void EvalCmpValues(const std::vector<Value>& v, CmpOp op, const Value& lit,
-                   size_t row_count, uint8_t* sel) {
-  switch (lit.type()) {
-    case DataType::kInt64: {
-      const int64_t x = lit.int_value();
-      for (size_t i = 0; i < row_count; ++i) {
-        if (v[i].is_null()) {
-          sel[i] = 0;
-          continue;
-        }
-        const int64_t y = v[i].int_value();
-        sel[i] = CmpHolds(op, y < x ? -1 : (y > x ? 1 : 0));
-      }
-      return;
-    }
-    case DataType::kDouble: {
-      const double x = lit.dbl_value();
-      for (size_t i = 0; i < row_count; ++i) {
-        if (v[i].is_null()) {
-          sel[i] = 0;
-          continue;
-        }
-        const double y = v[i].dbl_value();
-        sel[i] = CmpHolds(op, y < x ? -1 : (y > x ? 1 : 0));
-      }
-      return;
-    }
-    case DataType::kString: {
-      const std::string& x = lit.str_value();
-      for (size_t i = 0; i < row_count; ++i) {
-        if (v[i].is_null()) {
-          sel[i] = 0;
-          continue;
-        }
-        const int c = v[i].str_value().compare(x);
-        sel[i] = CmpHolds(op, c < 0 ? -1 : (c > 0 ? 1 : 0));
-      }
-      return;
-    }
-  }
-  std::fill(sel, sel + row_count, uint8_t{0});
-}
-
-/// One comparison over a columnar batch. int64 columns go through the
-/// vectorized compare kernel (validity handled by the bitmap); double and
-/// string columns run the same typed scalar loops as EvalCmpValues. The
-/// EON_CHECK on batch type mirrors the typed-accessor CHECK of the
-/// Value-wise path.
+/// One comparison over a columnar batch. The batch is homogeneously typed
+/// (it is a schema column), so the type dispatch is hoisted out of the row
+/// loop. int64 columns go through the vectorized compare kernel (validity
+/// handled by the bitmap); double and string columns run typed scalar
+/// loops. The EON_CHECK on batch type mirrors the typed-accessor CHECK
+/// Value::Compare does on the row path.
 void EvalCmpBatchValues(const ColumnBatch& b, CmpOp op, const Value& lit,
                         size_t row_count, uint8_t* sel,
                         uint64_t* kernel_calls) {
@@ -116,100 +70,9 @@ void EvalCmpBatchValues(const ColumnBatch& b, CmpOp op, const Value& lit,
   std::fill(sel, sel + row_count, uint8_t{0});
 }
 
-/// Comparison leaf of EvalBlock: missing (never-materialized) columns and
-/// NULL literals fail every row, everything else runs the typed loop.
-void EvalCmpBlock(const Predicate& p,
-                  const std::vector<const std::vector<Value>*>& columns,
-                  size_t row_count, uint8_t* sel) {
-  const size_t col = p.col_index();
-  const Value& lit = p.literal();
-  if (col >= columns.size() || columns[col] == nullptr || lit.is_null()) {
-    std::fill(sel, sel + row_count, uint8_t{0});
-    return;
-  }
-  EvalCmpValues(*columns[col], p.op(), lit, row_count, sel);
-}
-
-void EvalBlockInto(const Predicate& p,
-                   const std::vector<const std::vector<Value>*>& columns,
-                   size_t row_count, uint8_t* sel) {
-  switch (p.kind()) {
-    case Predicate::Kind::kTrue:
-      std::fill(sel, sel + row_count, uint8_t{1});
-      return;
-    case Predicate::Kind::kCmp:
-      EvalCmpBlock(p, columns, row_count, sel);
-      return;
-    case Predicate::Kind::kAnd: {
-      EvalBlockInto(*p.left(), columns, row_count, sel);
-      SelectionVector tmp(row_count);
-      EvalBlockInto(*p.right(), columns, row_count, tmp.data());
-      simd::SelAnd(sel, tmp.data(), row_count);
-      return;
-    }
-    case Predicate::Kind::kOr: {
-      EvalBlockInto(*p.left(), columns, row_count, sel);
-      SelectionVector tmp(row_count);
-      EvalBlockInto(*p.right(), columns, row_count, tmp.data());
-      simd::SelOr(sel, tmp.data(), row_count);
-      return;
-    }
-    case Predicate::Kind::kNot:
-      EvalBlockInto(*p.left(), columns, row_count, sel);
-      simd::SelNot(sel, row_count);
-      return;
-  }
-  std::fill(sel, sel + row_count, uint8_t{0});
-}
-
-/// EvalBlockInto over columnar batches: the same recursion with batch
-/// comparison leaves and vectorized selection-vector combines.
-void EvalBlockBatchInto(const Predicate& p,
-                        const std::vector<const ColumnBatch*>& columns,
-                        size_t row_count, uint8_t* sel,
-                        uint64_t* kernel_calls) {
-  switch (p.kind()) {
-    case Predicate::Kind::kTrue:
-      std::fill(sel, sel + row_count, uint8_t{1});
-      return;
-    case Predicate::Kind::kCmp: {
-      const size_t col = p.col_index();
-      const Value& lit = p.literal();
-      if (col >= columns.size() || columns[col] == nullptr || lit.is_null()) {
-        std::fill(sel, sel + row_count, uint8_t{0});
-        return;
-      }
-      EvalCmpBatchValues(*columns[col], p.op(), lit, row_count, sel,
-                         kernel_calls);
-      return;
-    }
-    case Predicate::Kind::kAnd: {
-      EvalBlockBatchInto(*p.left(), columns, row_count, sel, kernel_calls);
-      SelectionVector tmp(row_count);
-      EvalBlockBatchInto(*p.right(), columns, row_count, tmp.data(),
-                         kernel_calls);
-      simd::SelAnd(sel, tmp.data(), row_count);
-      return;
-    }
-    case Predicate::Kind::kOr: {
-      EvalBlockBatchInto(*p.left(), columns, row_count, sel, kernel_calls);
-      SelectionVector tmp(row_count);
-      EvalBlockBatchInto(*p.right(), columns, row_count, tmp.data(),
-                         kernel_calls);
-      simd::SelOr(sel, tmp.data(), row_count);
-      return;
-    }
-    case Predicate::Kind::kNot:
-      EvalBlockBatchInto(*p.left(), columns, row_count, sel, kernel_calls);
-      simd::SelNot(sel, row_count);
-      return;
-  }
-  std::fill(sel, sel + row_count, uint8_t{0});
-}
-
-/// EvalBlockInto with encoded comparison leaves: structurally identical
-/// recursion, but a kCmp node is answered by the EncodedBlockSource when
-/// the column's encoding supports it, decoding only as a fallback.
+/// The block predicate recursion: a kCmp node is answered by the
+/// EncodedBlockSource when the column's encoding supports it, decoding
+/// only as a fallback; AND/OR/NOT combine vectorized selection vectors.
 void EvalBlockEncodedInto(const Predicate& p, EncodedBlockSource* src,
                           size_t row_count, uint8_t* sel,
                           uint64_t* kernel_calls) {
@@ -255,6 +118,25 @@ void EvalBlockEncodedInto(const Predicate& p, EncodedBlockSource* src,
   }
   std::fill(sel, sel + row_count, uint8_t{0});
 }
+
+/// EncodedBlockSource over already-decoded batches: no encoded shortcut,
+/// every comparison leaf reads its column's batch.
+class BatchBlockSource : public EncodedBlockSource {
+ public:
+  explicit BatchBlockSource(const std::vector<const ColumnBatch*>& columns)
+      : columns_(columns) {}
+
+  bool TryEvalCmpEncoded(size_t, CmpOp, const Value&, uint8_t*) override {
+    return false;
+  }
+
+  const ColumnBatch* DecodedColumn(size_t col) override {
+    return col < columns_.size() ? columns_[col] : nullptr;
+  }
+
+ private:
+  const std::vector<const ColumnBatch*>& columns_;
+};
 
 }  // namespace
 
@@ -329,28 +211,19 @@ bool Predicate::Eval(const Row& row) const {
   return false;
 }
 
-void Predicate::EvalBlock(
-    const std::vector<const std::vector<Value>*>& columns, size_t row_count,
-    SelectionVector* sel) const {
-  sel->resize(row_count);
-  if (row_count == 0) return;
-  EvalBlockInto(*this, columns, row_count, sel->data());
-}
-
-void Predicate::EvalBlockBatch(const std::vector<const ColumnBatch*>& columns,
-                               size_t row_count, SelectionVector* sel,
-                               uint64_t* kernel_calls) const {
-  sel->resize(row_count);
-  if (row_count == 0) return;
-  EvalBlockBatchInto(*this, columns, row_count, sel->data(), kernel_calls);
-}
-
 void Predicate::EvalBlockEncoded(EncodedBlockSource* src, size_t row_count,
                                  SelectionVector* sel,
                                  uint64_t* kernel_calls) const {
   sel->resize(row_count);
   if (row_count == 0) return;
   EvalBlockEncodedInto(*this, src, row_count, sel->data(), kernel_calls);
+}
+
+void Predicate::EvalBlockBatch(const std::vector<const ColumnBatch*>& columns,
+                               size_t row_count, SelectionVector* sel,
+                               uint64_t* kernel_calls) const {
+  BatchBlockSource src(columns);
+  EvalBlockEncoded(&src, row_count, sel, kernel_calls);
 }
 
 bool Predicate::CouldMatch(const std::vector<ValueRange>& ranges) const {

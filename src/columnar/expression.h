@@ -36,13 +36,14 @@ using PredicatePtr = std::shared_ptr<const Predicate>;
 using SelectionVector = std::vector<uint8_t>;
 
 /// `v <op> literal` with SQL null semantics: NULL on either side never
-/// matches. The single comparison definition shared by the row path, the
-/// block path, and the encoded (per-run / per-dictionary-entry) path.
+/// matches. The single comparison definition shared by the row path and
+/// the encoded (per-run / per-dictionary-entry) path.
 bool CmpMatches(const Value& v, CmpOp op, const Value& literal);
 
 /// Per-block column access for encoded predicate evaluation (late
 /// materialization). Implemented by the scan layer over one block of a ROS
-/// container: a comparison leaf is evaluated directly on the encoded
+/// container (and, without an encoded path, by EvalBlockBatch over decoded
+/// batches): a comparison leaf is evaluated directly on the encoded
 /// representation when the encoding supports it (RLE: once per run; dict:
 /// once per dictionary entry), otherwise the implementation decodes the
 /// column (lazily, cached per block) and the leaf runs value-wise.
@@ -88,40 +89,30 @@ class Predicate {
 
   /// Evaluate on a full row (indexed by projection column position).
   /// NULL comparisons evaluate false (SQL semantics, no three-valued logic).
-  /// This is the reference path; the scan hot loop uses EvalBlock.
+  /// The reference semantics the block evaluators below must reproduce.
   bool Eval(const Row& row) const;
 
-  /// Block-at-a-time evaluation: fill `sel` (resized to `row_count`) so
-  /// that sel[i] != 0 iff Eval over row i would return true. `columns` is
-  /// indexed by projection column position; a nullptr entry means the
-  /// column was not materialized, which — like a NULL value — fails every
-  /// comparison. Each comparison runs over the whole block into its own
-  /// selection vector; AND/OR/NOT combine selection vectors bytewise, so
-  /// the per-row virtual-dispatch and Row materialization of Eval are
-  /// hoisted out of the loop.
-  void EvalBlock(const std::vector<const std::vector<Value>*>& columns,
-                 size_t row_count, SelectionVector* sel) const;
-
-  /// EvalBlock over columnar batches: comparison leaves on int64 columns
-  /// run the vectorized compare kernel against the batch's contiguous
-  /// value array and validity bitmap; double/string leaves run typed
-  /// scalar loops. Produces exactly the selection vector EvalBlock would
-  /// over the same data. `kernel_calls` (optional) counts SIMD kernel
-  /// invocations for the scan profile.
-  void EvalBlockBatch(const std::vector<const ColumnBatch*>& columns,
-                      size_t row_count, SelectionVector* sel,
-                      uint64_t* kernel_calls = nullptr) const;
-
-  /// Encoding-aware block evaluation: like EvalBlock, but each comparison
-  /// leaf first asks `src` to evaluate directly on the column's encoded
-  /// representation (one verdict per RLE run fanned across the run, one
-  /// per dictionary entry translated through the code stream); only
-  /// columns whose encoding lacks that path are decoded. Produces exactly
-  /// the selection vector EvalBlock would. `kernel_calls` (optional)
-  /// counts SIMD kernel invocations in decode-fallback leaves.
+  /// Encoding-aware block evaluation: fill `sel` (resized to `row_count`)
+  /// so that sel[i] != 0 iff Eval over row i would return true. Each
+  /// comparison leaf first asks `src` to evaluate directly on the column's
+  /// encoded representation (one verdict per RLE run fanned across the
+  /// run, one per dictionary entry translated through the code stream);
+  /// only columns whose encoding lacks that path are decoded, and int64
+  /// leaves over decoded columns run the vectorized compare kernel.
+  /// AND/OR/NOT combine whole-block selection vectors bytewise.
+  /// `kernel_calls` (optional) counts SIMD kernel invocations in
+  /// decode-fallback leaves.
   void EvalBlockEncoded(EncodedBlockSource* src, size_t row_count,
                         SelectionVector* sel,
                         uint64_t* kernel_calls = nullptr) const;
+
+  /// EvalBlockEncoded over already-decoded columnar batches. `columns` is
+  /// indexed by projection column position; a nullptr or missing entry
+  /// means the column was not materialized, which — like a NULL value —
+  /// fails every comparison.
+  void EvalBlockBatch(const std::vector<const ColumnBatch*>& columns,
+                      size_t row_count, SelectionVector* sel,
+                      uint64_t* kernel_calls = nullptr) const;
 
   /// Conservative test: false only if no row within `ranges` can satisfy
   /// the predicate. `ranges` is indexed by projection column position;

@@ -85,8 +85,6 @@ Status ExecuteObjectScan(const RawObjectReader& reader,
   scan.deletes = request.deletes;
   scan.row_begin = request.row_begin;
   scan.row_end = request.row_end;
-  scan.block_eval = true;
-  scan.late_mat = true;
   EON_ASSIGN_OR_RETURN(
       std::vector<Row> rows,
       ScanRosContainer(request.schema, request.base_key, &fetcher, scan,

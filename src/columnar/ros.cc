@@ -287,12 +287,6 @@ Result<ChunkView> ColumnFileReader::BlockChunk(size_t i) const {
   return view;
 }
 
-Status ColumnFileReader::DecodeBlock(size_t i, std::vector<Value>* out) const {
-  EON_ASSIGN_OR_RETURN(ChunkView view, BlockChunk(i));
-  out->reserve(out->size() + view.count);
-  return DecodeChunkSelected(view, type_, /*sel=*/nullptr, out);
-}
-
 Status ColumnFileReader::DecodeBlockBatch(size_t i, ColumnBatch* out,
                                           uint64_t* values_unpacked) const {
   EON_ASSIGN_OR_RETURN(ChunkView view, BlockChunk(i));
@@ -306,15 +300,6 @@ Status ColumnFileReader::DecodeSelected(size_t i, const uint8_t* sel,
   EON_ASSIGN_OR_RETURN(ChunkView view, BlockChunk(i));
   return DecodeChunkSelected(view, type_, sel, out, values_decoded,
                              values_unpacked);
-}
-
-const char* ScanModeName(ScanMode mode) {
-  switch (mode) {
-    case ScanMode::kRowWise: return "row_wise";
-    case ScanMode::kBlockEval: return "block_eval";
-    case ScanMode::kLateMat: return "late_mat";
-  }
-  return "?";
 }
 
 namespace {
@@ -373,8 +358,8 @@ class BlockPredicateSource : public EncodedBlockSource {
                          uint8_t* sel) override {
     auto it = status_.ok() ? readers_.find(col) : readers_.end();
     if (it == readers_.end()) {
-      // Unfetched column (or latched error): no row matches, same as
-      // EvalBlock's missing-column rule.
+      // Unfetched column (or latched error): no row matches, the
+      // missing-column rule of DecodedColumn.
       std::fill(sel, sel + row_count_, uint8_t{0});
       return true;
     }
@@ -523,9 +508,8 @@ Result<std::vector<Row>> ScanLateMaterialized(const Schema& schema,
     }
 
     {
-      // CouldMatch only inspects predicate-referenced columns, so
-      // predicate-only ranges prune exactly like the eager path's full
-      // range set.
+      // CouldMatch only inspects predicate-referenced columns, so their
+      // ranges are all pruning needs.
       std::vector<ValueRange> ranges(schema.num_columns());
       for (size_t col : pred_cols) ranges[col] = readers.at(col).block(b).range;
       if (!options.predicate->CouldMatch(ranges)) {
@@ -674,15 +658,14 @@ Result<std::vector<Row>> ScanRosContainer(const Schema& schema,
     }
   }
 
-  if (options.late_mat && options.block_eval && options.predicate != nullptr &&
-      !pred_cols.empty()) {
+  if (!pred_cols.empty()) {
     return ScanLateMaterialized(schema, base_key, fetcher, options, pred_cols,
                                 st);
   }
 
-  // Fetch (one async batch) and open each needed column file. The refs
-  // pin cache-backed files resident (and share their bytes) for the
-  // readers' lifetime.
+  // No predicate column: decode and emit every output column. Fetch (one
+  // async batch) and open each column file. The refs pin cache-backed
+  // files resident (and share their bytes) for the readers' lifetime.
   std::map<size_t, ColumnFileReader> readers;
   EON_RETURN_IF_ERROR(
       FetchColumnsAsync(schema, base_key, fetcher, needed, &readers, st));
@@ -711,16 +694,6 @@ Result<std::vector<Row>> ScanRosContainer(const Schema& schema,
       continue;
     }
 
-    // Min/max pruning using every fetched column's stats for this block.
-    if (options.predicate) {
-      std::vector<ValueRange> ranges(schema.num_columns());
-      for (const auto& [col, r] : readers) ranges[col] = r.block(b).range;
-      if (!options.predicate->CouldMatch(ranges)) {
-        st->blocks_pruned++;
-        continue;
-      }
-    }
-
     // Decode the block for each needed column, straight into columnar
     // batch layout (typed arrays + validity bitmap).
     std::map<size_t, ColumnBatch> cols;
@@ -732,15 +705,12 @@ Result<std::vector<Row>> ScanRosContainer(const Schema& schema,
       cols.emplace(col, std::move(batch));
     }
 
-    // Block-at-a-time predicate: one selection vector for the whole
-    // block via the vectorized kernels, then only survivors are
-    // materialized below.
+    // A column-free predicate (TRUE, NOT TRUE, ...) has no min/max to
+    // prune by but still decides every row: one selection vector for the
+    // whole block.
     SelectionVector sel;
-    const bool use_sel = options.predicate != nullptr && options.block_eval;
-    if (use_sel) {
-      std::vector<const ColumnBatch*> col_ptrs(schema.num_columns(), nullptr);
-      for (const auto& [col, batch] : cols) col_ptrs[col] = &batch;
-      options.predicate->EvalBlockBatch(col_ptrs, bm.row_count, &sel,
+    if (options.predicate) {
+      options.predicate->EvalBlockBatch({}, bm.row_count, &sel,
                                         &st->kernel_calls);
     }
 
@@ -751,18 +721,12 @@ Result<std::vector<Row>> ScanRosContainer(const Schema& schema,
       out_cols.push_back(&cols.at(col));
     }
 
-    Row probe(schema.num_columns());  // Row-at-a-time reference path only.
     for (uint64_t i = 0; i < bm.row_count; ++i) {
       const uint64_t pos = block_begin + i;
       if (pos < options.row_begin || pos >= options.row_end) continue;
       st->rows_visited++;
       if (options.deletes && options.deletes->IsDeleted(pos)) continue;
-      if (use_sel) {
-        if (!sel[i]) continue;
-      } else if (options.predicate) {
-        for (const auto& [col, batch] : cols) probe[col] = batch.GetValue(i);
-        if (!options.predicate->Eval(probe)) continue;
-      }
+      if (options.predicate && !sel[i]) continue;
       Row out_row;
       out_row.reserve(out_cols.size());
       for (const ColumnBatch* batch : out_cols) {

@@ -147,9 +147,6 @@ class ColumnFileReader {
   uint64_t row_count() const { return row_count_; }
   DataType type() const { return type_; }
 
-  /// Decode block `i`, appending its values to `out`.
-  Status DecodeBlock(size_t i, std::vector<Value>* out) const;
-
   /// Decode block `i` into columnar batch layout (the scan's hot path —
   /// bit-packed and delta chunks fill the typed array directly, skipping
   /// Value materialization). `values_unpacked` (optional) accumulates the
@@ -196,38 +193,11 @@ struct RosScanOptions {
   /// container-split crunch scaling (Section 4.4). Default = whole file.
   uint64_t row_begin = 0;
   uint64_t row_end = UINT64_MAX;
-  /// Evaluate the predicate block-at-a-time into a selection vector
-  /// (Predicate::EvalBlock). Off = row-at-a-time Eval, kept as the
-  /// reference path for differential tests.
-  bool block_eval = true;
-  /// Two-phase late-materialization scan: phase 1 fetches and evaluates
-  /// only the predicate columns (directly on the encoded representation
-  /// where the encoding supports it), phase 2 selectively decodes the
-  /// output columns for surviving rows only. Containers where no row
-  /// survives phase 1 never fetch their output-only column files.
-  /// Requires block_eval and a predicate; otherwise the eager path runs.
-  bool late_mat = true;
   /// Optional precomputed Predicate::CollectColumns result, so per-morsel
   /// scans skip re-walking the predicate tree. Empty = computed here.
   /// Must equal the predicate's column set when provided.
   std::vector<size_t> predicate_columns;
 };
-
-/// The three scan pipelines, ordered from reference to fastest. Modes are
-/// observationally identical — differential tests compare them bit for bit.
-enum class ScanMode {
-  kRowWise,    ///< Row-at-a-time Predicate::Eval; the oracle.
-  kBlockEval,  ///< Decode everything, block-at-a-time predicate.
-  kLateMat,    ///< Encoded predicate eval + selective decode (default).
-};
-
-const char* ScanModeName(ScanMode mode);
-
-/// Translate a scan mode into the corresponding RosScanOptions toggles.
-inline void ApplyScanMode(ScanMode mode, RosScanOptions* options) {
-  options->block_eval = mode != ScanMode::kRowWise;
-  options->late_mat = mode == ScanMode::kLateMat;
-}
 
 /// Observability for tests, the cost model, and the pruning benches.
 struct RosScanStats {
@@ -238,8 +208,8 @@ struct RosScanStats {
   uint64_t rows_visited = 0;
   uint64_t rows_output = 0;
   /// Values parsed or materialized while scanning (decode work): one per
-  /// value on the eager path, one per RLE run / dictionary entry on the
-  /// encoded path plus one per materialized survivor.
+  /// value when a block is decoded whole, one per RLE run / dictionary
+  /// entry on the encoded path plus one per materialized survivor.
   uint64_t values_decoded = 0;
   /// Output-only column files never fetched because no row in the
   /// container survived the predicate phase.
@@ -272,7 +242,13 @@ struct RosScanStats {
 /// Scan a ROS container: fetches only the needed column files (true column
 /// store — columns are physically separate), prunes blocks by min/max,
 /// applies the predicate and delete vector, and returns rows containing
-/// exactly `output_columns` in order.
+/// exactly `output_columns` in order. A predicate that reads columns runs
+/// the two-phase late-materialized scan: phase 1 fetches and evaluates
+/// only the predicate columns (on the encoded representation where the
+/// encoding supports it), phase 2 selectively decodes the output columns
+/// for surviving rows, and a container where nothing survives never
+/// fetches its output-only column files. Without one, every output
+/// column is decoded and emitted.
 Result<std::vector<Row>> ScanRosContainer(const Schema& schema,
                                           const std::string& base_key,
                                           FileFetcher* fetcher,

@@ -671,11 +671,8 @@ Result<ScanOutput> ScanDistributed(EonCluster* cluster,
       std::vector<Row> rows;
       if (m.container == nullptr) {
         // WOS morsel: materialize this shard's memtable rows into the
-        // scan's currency. Row-wise mode evaluates the predicate with the
-        // reference Eval; block modes columnarize the predicate columns
-        // and run the same vectorized kernels as the container scan —
-        // both produce identical selections, so output is bit-identical
-        // across scan modes.
+        // scan's currency. The predicate columns are columnarized and run
+        // through the same vectorized kernels as the container scan.
         const std::vector<Row>& src = *m.wos_rows;
         size_t row_begin = 0, row_end = src.size();
         if (m.k > 1 && context.crunch == CrunchMode::kContainerSplit) {
@@ -685,23 +682,17 @@ Result<ScanOutput> ScanDistributed(EonCluster* cluster,
         const size_t n = row_end - row_begin;
         std::vector<uint8_t> sel(n, 1);
         if (pred != nullptr && n > 0) {
-          if (context.scan_mode == ScanMode::kRowWise) {
-            for (size_t r = 0; r < n; ++r) {
-              sel[r] = pred->Eval(src[row_begin + r]) ? 1 : 0;
-            }
-          } else {
-            std::vector<Row> slice(src.begin() + row_begin,
-                                   src.begin() + row_end);
-            std::map<size_t, ColumnBatch> owned;
-            std::vector<const ColumnBatch*> cols(proj_schema.num_columns(),
-                                                 nullptr);
-            for (size_t c : pred_proj_cols) {
-              owned.emplace(c, ColumnBatch::FromRows(
-                                   slice, c, proj_schema.column(c).type));
-              cols[c] = &owned.at(c);
-            }
-            pred->EvalBlockBatch(cols, n, &sel, &res.scan.kernel_calls);
+          std::vector<Row> slice(src.begin() + row_begin,
+                                 src.begin() + row_end);
+          std::map<size_t, ColumnBatch> owned;
+          std::vector<const ColumnBatch*> cols(proj_schema.num_columns(),
+                                               nullptr);
+          for (size_t c : pred_proj_cols) {
+            owned.emplace(c, ColumnBatch::FromRows(
+                                 slice, c, proj_schema.column(c).type));
+            cols[c] = &owned.at(c);
           }
+          pred->EvalBlockBatch(cols, n, &sel, &res.scan.kernel_calls);
         }
         rows.reserve(n);
         for (size_t r = 0; r < n; ++r) {
@@ -776,7 +767,6 @@ Result<ScanOutput> ScanDistributed(EonCluster* cluster,
         scan.predicate = pred;
         scan.predicate_columns = pred_proj_cols;
         scan.deletes = &deletes;
-        ApplyScanMode(context.scan_mode, &scan);
         if (m.k > 1 && context.crunch == CrunchMode::kContainerSplit) {
           // Physical split: each sharing node reads a distinct row range
           // (each row read once; segmentation property lost).

@@ -30,9 +30,6 @@ struct ExecContext {
   /// node first). Empty = one node per shard.
   std::map<ShardId, std::vector<Oid>> crunch_nodes;
   CrunchMode crunch = CrunchMode::kNone;
-  /// Scan pipeline for every ROS container this query touches. All modes
-  /// produce bit-identical rows; kRowWise is the differential oracle.
-  ScanMode scan_mode = ScanMode::kLateMat;
   /// Admission-control accounting, filled by the serving layer when the
   /// query passed through a resource pool: how long it waited for its
   /// execution slots and which pool admitted it. Both flow into the

@@ -31,7 +31,6 @@ class EonSession {
         BuildExecContext(cluster_, connected_node_, seed_ + sequence_,
                          crunch_));
     ++sequence_;
-    context.scan_mode = scan_mode_;
     return context;
   }
 
@@ -56,15 +55,10 @@ class EonSession {
   /// more nodes than shards are available.
   void set_crunch_mode(CrunchMode mode) { crunch_ = mode; }
 
-  /// Scan pipeline for subsequent queries; all modes return identical rows
-  /// (differential tests rely on this).
-  void set_scan_mode(ScanMode mode) { scan_mode_ = mode; }
-
   const ExecStats& last_stats() const { return last_stats_; }
   EonCluster* cluster() { return cluster_; }
   const std::string& connected_node() const { return connected_node_; }
   CrunchMode crunch_mode() const { return crunch_; }
-  ScanMode scan_mode() const { return scan_mode_; }
   /// Queries whose context was successfully built so far (the variation-
   /// seed cursor). Failed PrepareContext calls do not advance it.
   uint64_t sequence() const { return sequence_; }
@@ -75,7 +69,6 @@ class EonSession {
   uint64_t seed_;
   uint64_t sequence_ = 0;
   CrunchMode crunch_ = CrunchMode::kNone;
-  ScanMode scan_mode_ = ScanMode::kLateMat;
   ExecStats last_stats_;
 };
 

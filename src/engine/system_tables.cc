@@ -98,7 +98,7 @@ const std::map<std::string, Schema>& Registry() {
         Col("cancelled", kI), Col("queued_micros_total", kI)});
     (*m)["system_sessions"] = Schema({
         Col("session_id", kI), Col("connected_node", kS), Col("pool", kS),
-        Col("scan_mode", kS), Col("crunch", kS), Col("state", kS),
+        Col("crunch", kS), Col("state", kS),
         Col("queries", kI), Col("prepared_statements", kI)});
     (*m)["system_wos"] = Schema({
         Col("node", kS), Col("table", kS), Col("table_oid", kI),

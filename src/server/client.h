@@ -55,7 +55,7 @@ class EonClient {
   Result<WireQueryResult> ExecutePrepared(const std::string& name);
   Status ClosePrepared(const std::string& name);
 
-  /// "scan_mode" / "crunch" / "pool"; see SessionManager::SetOption.
+  /// "crunch" / "pool" / "trace"; see SessionManager::SetOption.
   Status Set(const std::string& key, const std::string& value);
 
   /// Full profile text of the session's last successful query.

@@ -276,22 +276,6 @@ Status SessionManager::SetOption(uint64_t session_id, const std::string& key,
     return Status::NotFound("no such session: " + std::to_string(session_id));
   }
   std::lock_guard<std::mutex> exec_lock(state->exec_mu);
-  if (key == "scan_mode") {
-    ScanMode mode;
-    if (value == "row_wise") {
-      mode = ScanMode::kRowWise;
-    } else if (value == "block_eval") {
-      mode = ScanMode::kBlockEval;
-    } else if (value == "late_mat") {
-      mode = ScanMode::kLateMat;
-    } else {
-      return Status::InvalidArgument("unknown scan_mode: " + value);
-    }
-    state->session.set_scan_mode(mode);
-    std::lock_guard<std::mutex> lock(mu_);
-    state->scan_mode = mode;
-    return Status::OK();
-  }
   if (key == "crunch") {
     CrunchMode mode;
     if (value == "none") {
@@ -373,7 +357,6 @@ std::vector<Row> SessionManager::SessionRows() const {
         Value::Int(static_cast<int64_t>(id)),
         Value::Str(state->session.connected_node()),
         Value::Str(state->pool),
-        Value::Str(ScanModeName(state->scan_mode)),
         Value::Str(CrunchModeName(state->crunch)),
         Value::Str(kStateNames[state->state.load(std::memory_order_relaxed)]),
         Value::Int(static_cast<int64_t>(

@@ -18,7 +18,7 @@
 namespace eon {
 
 /// Thread-safe frontend over many EonSessions: connect/disconnect,
-/// per-session state (scan mode, crunch, connected node, resource pool),
+/// per-session state (crunch, connected node, resource pool),
 /// prepared statements (parse once, execute many), and query execution
 /// through the admission controller. One statement runs at a time per
 /// session (a session is a single client conversation); distinct sessions
@@ -59,10 +59,9 @@ class SessionManager {
                                       const std::string& name);
   Status ClosePrepared(uint64_t session_id, const std::string& name);
 
-  /// Session options: "scan_mode" (row_wise | block_eval | late_mat),
-  /// "crunch" (none | hash_filter | container_split), "pool" (a
-  /// configured resource pool), "trace" (on | off — force span retention
-  /// for this session's queries regardless of sampling).
+  /// Session options: "crunch" (none | hash_filter | container_split),
+  /// "pool" (a configured resource pool), "trace" (on | off — force span
+  /// retention for this session's queries regardless of sampling).
   Status SetOption(uint64_t session_id, const std::string& key,
                    const std::string& value);
 
@@ -101,7 +100,6 @@ class SessionManager {
     /// mutex and exec_mu (SetOption), so SessionRows (manager mutex) and
     /// Execute (exec_mu) each read them race-free.
     std::string pool;
-    ScanMode scan_mode = ScanMode::kLateMat;
     CrunchMode crunch = CrunchMode::kNone;
     /// Force trace retention for this session's queries.
     bool trace = false;

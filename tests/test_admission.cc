@@ -472,11 +472,12 @@ TEST_F(ServerTest, WireProtocolEndToEnd) {
   EXPECT_TRUE(client.ExecutePrepared("q1").status().IsNotFound());
 
   // Session options change execution, never results.
-  ASSERT_TRUE(client.Set("scan_mode", "row_wise").ok());
-  auto row_wise = client.Query(sql);
-  ASSERT_TRUE(row_wise.ok());
-  ExpectSameRows(*row_wise, *direct);
-  EXPECT_TRUE(client.Set("scan_mode", "sideways").IsInvalidArgument());
+  ASSERT_TRUE(client.Set("crunch", "hash_filter").ok());
+  auto crunched = client.Query(sql);
+  ASSERT_TRUE(crunched.ok());
+  ExpectSameRows(*crunched, *direct);
+  EXPECT_TRUE(client.Set("crunch", "sideways").IsInvalidArgument());
+  EXPECT_TRUE(client.Set("no_such_option", "x").IsInvalidArgument());
   EXPECT_TRUE(client.Set("pool", "nope").IsNotFound());
 
   auto profile = client.ProfileText();
@@ -552,13 +553,12 @@ TEST_F(ServerTest, SystemTablesExposeServingState) {
 
   // The session table sees this very session mid-query.
   auto sessions = client.Query(
-      "SELECT pool, scan_mode, state, queries FROM system_sessions");
+      "SELECT pool, state, queries FROM system_sessions");
   ASSERT_TRUE(sessions.ok()) << sessions.status().ToString();
   ASSERT_EQ(sessions->rows.size(), 1u);
   EXPECT_EQ(sessions->rows[0][0].str_value(), "reporting");
-  EXPECT_EQ(sessions->rows[0][1].str_value(), "late_mat");
-  EXPECT_EQ(sessions->rows[0][2].str_value(), "active");
-  EXPECT_GE(sessions->rows[0][3].int_value(), 2);
+  EXPECT_EQ(sessions->rows[0][1].str_value(), "active");
+  EXPECT_GE(sessions->rows[0][2].int_value(), 2);
 
   // Queue wait is recorded per query in the Data Collector.
   auto dc = client.Query(

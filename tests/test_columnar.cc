@@ -853,10 +853,15 @@ std::vector<Row> MakeMixedRows(size_t n) {
   return rows;
 }
 
-TEST_F(RosTest, ScanModesProduceIdenticalRows) {
+// The scan against a row-at-a-time oracle computed from the source rows:
+// Predicate::Eval, the delete vector and the [row_begin, row_end) range.
+TEST_F(RosTest, ScanMatchesRowOracle) {
   std::vector<Row> rows = MakeMixedRows(1000);
   WriteContainer(rows, 128);
   DeleteVector dv({3, 128, 129, 777});
+  constexpr uint64_t kBegin = 5;
+  constexpr uint64_t kEnd = 990;
+  const std::vector<size_t> out_cols = {2, 0, 1};
 
   const std::vector<PredicatePtr> predicates = {
       Predicate::Cmp(2, CmpOp::kEq, Value::Str("t3")),
@@ -866,67 +871,57 @@ TEST_F(RosTest, ScanModesProduceIdenticalRows) {
                     Predicate::Cmp(0, CmpOp::kGe, Value::Int(950))),
       Predicate::Not(Predicate::Cmp(2, CmpOp::kEq, Value::Str("t2"))),
       Predicate::True(),
+      // Column-free and false: the full-decode loop must still apply it.
+      Predicate::Not(Predicate::True()),
   };
   for (size_t p = 0; p < predicates.size(); ++p) {
-    std::vector<std::vector<Row>> by_mode;
-    std::vector<RosScanStats> stats_by_mode;
-    for (ScanMode mode :
-         {ScanMode::kRowWise, ScanMode::kBlockEval, ScanMode::kLateMat}) {
-      RosScanOptions scan;
-      scan.output_columns = {2, 0, 1};
-      scan.predicate = predicates[p];
-      scan.deletes = &dv;
-      scan.row_begin = 5;
-      scan.row_end = 990;
-      ApplyScanMode(mode, &scan);
-      RosScanStats stats;
-      auto out =
-          ScanRosContainer(schema_, "data/test", &fetcher_, scan, &stats);
-      ASSERT_TRUE(out.ok()) << ScanModeName(mode) << ": "
-                            << out.status().ToString();
-      by_mode.push_back(std::move(out).value());
-      stats_by_mode.push_back(stats);
+    std::vector<Row> expect;
+    for (uint64_t i = kBegin; i < kEnd; ++i) {
+      if (dv.IsDeleted(i) || !predicates[p]->Eval(rows[i])) continue;
+      Row row;
+      for (size_t c : out_cols) row.push_back(rows[i][c]);
+      expect.push_back(std::move(row));
     }
-    for (size_t m = 1; m < by_mode.size(); ++m) {
-      ASSERT_EQ(by_mode[m].size(), by_mode[0].size()) << "predicate " << p;
-      for (size_t r = 0; r < by_mode[0].size(); ++r) {
-        ASSERT_EQ(by_mode[m][r].size(), by_mode[0][r].size());
-        for (size_t c = 0; c < by_mode[0][r].size(); ++c) {
-          ASSERT_EQ(by_mode[m][r][c].Compare(by_mode[0][r][c]), 0)
-              << "predicate " << p << " mode " << m << " row " << r;
-          ASSERT_EQ(by_mode[m][r][c].is_null(), by_mode[0][r][c].is_null());
-        }
+
+    RosScanOptions scan;
+    scan.output_columns = out_cols;
+    scan.predicate = predicates[p];
+    scan.deletes = &dv;
+    scan.row_begin = kBegin;
+    scan.row_end = kEnd;
+    RosScanStats stats;
+    auto out = ScanRosContainer(schema_, "data/test", &fetcher_, scan, &stats);
+    ASSERT_TRUE(out.ok()) << "predicate " << p << ": "
+                          << out.status().ToString();
+    ASSERT_EQ(out->size(), expect.size()) << "predicate " << p;
+    for (size_t r = 0; r < expect.size(); ++r) {
+      ASSERT_EQ((*out)[r].size(), expect[r].size());
+      for (size_t c = 0; c < expect[r].size(); ++c) {
+        ASSERT_EQ((*out)[r][c].is_null(), expect[r][c].is_null())
+            << "predicate " << p << " row " << r << " col " << c;
+        ASSERT_EQ((*out)[r][c].Compare(expect[r][c]), 0)
+            << "predicate " << p << " row " << r << " col " << c;
       }
     }
-    // All modes agree on pruning and visitation accounting.
-    for (size_t m = 1; m < stats_by_mode.size(); ++m) {
-      EXPECT_EQ(stats_by_mode[m].blocks_total, stats_by_mode[0].blocks_total);
-      EXPECT_EQ(stats_by_mode[m].blocks_pruned,
-                stats_by_mode[0].blocks_pruned);
-      EXPECT_EQ(stats_by_mode[m].rows_visited, stats_by_mode[0].rows_visited);
-      EXPECT_EQ(stats_by_mode[m].rows_output, stats_by_mode[0].rows_output);
-    }
+    EXPECT_EQ(stats.rows_output, expect.size()) << "predicate " << p;
   }
 }
 
 TEST_F(RosTest, LateMatDecodesFewerValuesOnSelectivePredicate) {
-  WriteContainer(MakeMixedRows(2000), 256);
+  const std::vector<Row> rows = MakeMixedRows(2000);
+  WriteContainer(rows, 256);
   RosScanOptions scan;
   scan.output_columns = {0, 1};
-  scan.predicate = Predicate::Cmp(2, CmpOp::kEq, Value::Str("t4"));  // ~1/5.
+  scan.predicate = Predicate::Cmp(2, CmpOp::kEq, Value::Str("t4"));  // 1/5.
 
-  RosScanStats eager;
-  ApplyScanMode(ScanMode::kBlockEval, &scan);
+  RosScanStats stats;
   ASSERT_TRUE(
-      ScanRosContainer(schema_, "data/test", &fetcher_, scan, &eager).ok());
-  RosScanStats late;
-  ApplyScanMode(ScanMode::kLateMat, &scan);
-  ASSERT_TRUE(
-      ScanRosContainer(schema_, "data/test", &fetcher_, scan, &late).ok());
-
-  EXPECT_GT(eager.values_decoded, 0u);
-  EXPECT_LT(late.values_decoded, eager.values_decoded);
-  EXPECT_EQ(late.rows_output, eager.rows_output);
+      ScanRosContainer(schema_, "data/test", &fetcher_, scan, &stats).ok());
+  EXPECT_EQ(stats.rows_output, rows.size() / 5);
+  // Decoding every output value of every row is the full-decode count.
+  const uint64_t full_decode = rows.size() * scan.output_columns.size();
+  EXPECT_GT(stats.values_decoded, 0u);
+  EXPECT_LT(stats.values_decoded, full_decode);
 }
 
 TEST_F(RosTest, SkipsOutputFilesWhenNothingSurvives) {

@@ -300,81 +300,35 @@ TEST(ParallelDifferential, ContainerSplitCrunchIsWidthInvariant) {
   }
 }
 
-// Late-materialization differential: every scan pipeline (row-wise oracle,
-// block-eval, late-mat) must return BIT-IDENTICAL rows at every pool width
-// under every crunch mode. One baseline per (query, crunch): the row-wise
-// serial run.
-TEST(ParallelDifferential, ScanModesAreBitIdenticalAcrossWidthsAndCrunch) {
-  WidthedClusters* wc = WidthedClusters::Get();
-  constexpr CrunchMode kCrunches[] = {
-      CrunchMode::kNone, CrunchMode::kHashFilter, CrunchMode::kContainerSplit};
-  constexpr ScanMode kModes[] = {ScanMode::kRowWise, ScanMode::kBlockEval,
-                                 ScanMode::kLateMat};
-  for (const auto& [name, spec] : ParallelQuerySet()) {
-    for (CrunchMode crunch : kCrunches) {
-      std::vector<Row> baseline;
-      bool have_baseline = false;
-      for (ScanMode mode : kModes) {
-        for (int width : kWidths) {
-          EonSession session(wc->by_width[width]->cluster.get(), "",
-                             /*seed=*/29);
-          session.set_crunch_mode(crunch);
-          session.set_scan_mode(mode);
-          auto result = session.Execute(spec);
-          ASSERT_TRUE(result.ok())
-              << name << " " << ScanModeName(mode) << " width " << width
-              << ": " << result.status().ToString();
-          if (!have_baseline) {
-            baseline = std::move(result->rows);
-            have_baseline = true;
-            continue;
-          }
-          std::string diff;
-          EXPECT_TRUE(BitIdentical(result->rows, baseline, &diff))
-              << name << " crunch " << static_cast<int>(crunch) << " mode "
-              << ScanModeName(mode) << " width " << width
-              << " diverged from row-wise serial: " << diff;
-        }
-      }
-    }
-  }
-}
-
 // SIMD-vs-scalar differential: pinning every kernel to the scalar
 // reference (what -DEON_SIMD=off compiles in permanently) must not change
 // a single output bit, for every query shape, at serial and parallel
-// widths, under all three scan pipelines. ForceScalarForTest flips a
-// global, so the scalar runs are grouped after the SIMD baseline of each
-// (query, mode, width) cell with no query in flight across the flip.
+// widths. ForceScalarForTest flips a global, so the scalar runs are
+// grouped after the SIMD baseline of each (query, width) cell with no
+// query in flight across the flip.
 TEST(ParallelDifferential, ScalarKernelsAreBitIdenticalToSimd) {
   WidthedClusters* wc = WidthedClusters::Get();
-  constexpr ScanMode kModes[] = {ScanMode::kRowWise, ScanMode::kBlockEval,
-                                 ScanMode::kLateMat};
   for (const auto& [name, spec] : ParallelQuerySet()) {
-    for (ScanMode mode : kModes) {
-      for (int width : {1, 4}) {
-        EonSession simd_session(wc->by_width[width]->cluster.get(), "",
+    for (int width : {1, 4}) {
+      EonSession simd_session(wc->by_width[width]->cluster.get(), "",
+                              /*seed=*/31);
+      auto with_simd = simd_session.Execute(spec);
+      ASSERT_TRUE(with_simd.ok()) << name << ": "
+                                  << with_simd.status().ToString();
+
+      simd::ForceScalarForTest(true);
+      EonSession scalar_session(wc->by_width[width]->cluster.get(), "",
                                 /*seed=*/31);
-        simd_session.set_scan_mode(mode);
-        auto with_simd = simd_session.Execute(spec);
-        ASSERT_TRUE(with_simd.ok()) << name << ": "
-                                    << with_simd.status().ToString();
+      auto with_scalar = scalar_session.Execute(spec);
+      simd::ForceScalarForTest(false);
+      ASSERT_TRUE(with_scalar.ok()) << name << ": "
+                                    << with_scalar.status().ToString();
+      EXPECT_EQ(with_scalar->profile.exec_kernel_isa, "scalar") << name;
 
-        simd::ForceScalarForTest(true);
-        EonSession scalar_session(wc->by_width[width]->cluster.get(), "",
-                                  /*seed=*/31);
-        scalar_session.set_scan_mode(mode);
-        auto with_scalar = scalar_session.Execute(spec);
-        simd::ForceScalarForTest(false);
-        ASSERT_TRUE(with_scalar.ok()) << name << ": "
-                                      << with_scalar.status().ToString();
-        EXPECT_EQ(with_scalar->profile.exec_kernel_isa, "scalar") << name;
-
-        std::string diff;
-        EXPECT_TRUE(BitIdentical(with_scalar->rows, with_simd->rows, &diff))
-            << name << " mode " << ScanModeName(mode) << " width " << width
-            << ": scalar diverged from SIMD: " << diff;
-      }
+      std::string diff;
+      EXPECT_TRUE(BitIdentical(with_scalar->rows, with_simd->rows, &diff))
+          << name << " width " << width
+          << ": scalar diverged from SIMD: " << diff;
     }
   }
 }

@@ -23,10 +23,14 @@
 #include "common/io_pool.h"
 #include "engine/session.h"
 #include "storage/sim_object_store.h"
+#include "tests/reference_executor.h"
 #include "workload/tpch.h"
 
 namespace eon {
 namespace {
+
+using testing_support::ReferenceExecute;
+using testing_support::SameResults;
 
 // ---------------------------------------------------------------------------
 // Cache-level tests: MemObjectStore with f0..f9 of 100 bytes each.
@@ -361,6 +365,7 @@ constexpr int kWidths[] = {1, 4};
 struct PrefetchClusters {
   TpchOptions topts;
   TpchData data;
+  testing_support::RefDatabase reference;
 
   struct Instance {
     SimClock clock;
@@ -374,6 +379,7 @@ struct PrefetchClusters {
       auto* pc = new PrefetchClusters();
       pc->topts.scale = 0.05;
       pc->data = GenerateTpch(pc->topts);
+      pc->reference = testing_support::TpchReferenceDb(pc->data);
       for (int depth : kDepths) {
         for (int width : kWidths) {
           auto inst = std::make_unique<Instance>();
@@ -502,36 +508,37 @@ std::vector<std::pair<std::string, QuerySpec>> PrefetchQuerySet() {
 }
 
 // Cold-cache scans must return bit-identical rows at every (prefetch
-// depth × exec width), under both the row-wise and the late-materialized
-// scan pipeline (whose phase-2 output columns are fetched async).
+// depth × exec width), including the late-materialized scan's phase-2
+// output columns, which are fetched async. The depth-0 serial run is the
+// baseline, and it must match the reference executor.
 TEST(PrefetchDifferential, ColdScanIdentityAcrossDepthsAndWidths) {
   PrefetchClusters* pc = PrefetchClusters::Get();
-  constexpr ScanMode kModes[] = {ScanMode::kRowWise, ScanMode::kLateMat};
   for (const auto& [name, spec] : PrefetchQuerySet()) {
-    for (ScanMode mode : kModes) {
-      std::vector<Row> baseline;
-      bool have_baseline = false;
-      for (int depth : kDepths) {
-        for (int width : kWidths) {
-          EonCluster* cluster = pc->by_config[{depth, width}]->cluster.get();
-          ClearAllCaches(cluster);
-          EonSession session(cluster, "", /*seed=*/31);
-          session.set_scan_mode(mode);
-          auto result = session.Execute(spec);
-          ASSERT_TRUE(result.ok())
-              << name << " " << ScanModeName(mode) << " depth " << depth
-              << " width " << width << ": " << result.status().ToString();
-          if (!have_baseline) {
-            baseline = std::move(result->rows);
-            have_baseline = true;
-            continue;
-          }
-          std::string diff;
-          EXPECT_TRUE(BitIdentical(result->rows, baseline, &diff))
-              << name << " " << ScanModeName(mode) << ": depth " << depth
-              << " width " << width
-              << " diverged from depth-0 serial: " << diff;
+    auto expected = ReferenceExecute(pc->reference, spec);
+    ASSERT_TRUE(expected.ok()) << name << ": " << expected.status().ToString();
+    std::vector<Row> baseline;
+    bool have_baseline = false;
+    for (int depth : kDepths) {
+      for (int width : kWidths) {
+        EonCluster* cluster = pc->by_config[{depth, width}]->cluster.get();
+        ClearAllCaches(cluster);
+        EonSession session(cluster, "", /*seed=*/31);
+        auto result = session.Execute(spec);
+        ASSERT_TRUE(result.ok())
+            << name << " depth " << depth << " width " << width << ": "
+            << result.status().ToString();
+        std::string diff;
+        if (!have_baseline) {
+          EXPECT_TRUE(SameResults(result->rows, *expected, /*ordered=*/false,
+                                  &diff))
+              << name << " vs reference: " << diff;
+          baseline = std::move(result->rows);
+          have_baseline = true;
+          continue;
         }
+        EXPECT_TRUE(BitIdentical(result->rows, baseline, &diff))
+            << name << ": depth " << depth << " width " << width
+            << " diverged from depth-0 serial: " << diff;
       }
     }
   }

@@ -2,7 +2,7 @@
 // ChoosePushdown cost model, the ObjectStore::ScanObject surface of every
 // backend (bit-identity with local scans, retry semantics, NotSupported
 // fallback), and the executor's pushed morsel path — which must be
-// invisible in results at every scan mode, exec width, and crunch mode.
+// invisible in results at every exec width and crunch mode.
 // Runs under TSan via scripts/tsan.sh (`ctest -L race`).
 
 #include <gtest/gtest.h>
@@ -30,10 +30,14 @@
 #include "engine/system_tables.h"
 #include "storage/posix_object_store.h"
 #include "storage/sim_object_store.h"
+#include "tests/reference_executor.h"
 #include "workload/tpch.h"
 
 namespace eon {
 namespace {
+
+using testing_support::ReferenceExecute;
+using testing_support::SameResults;
 
 // ---------------------------------------------------------------------------
 // ChoosePushdown: the per-morsel cost decision, pinned case by case.
@@ -339,6 +343,7 @@ constexpr int kWidths[] = {1, 4};
 struct PushdownClusters {
   TpchOptions topts;
   TpchData data;
+  testing_support::RefDatabase reference;
 
   struct Instance {
     SimClock clock;
@@ -352,6 +357,7 @@ struct PushdownClusters {
       auto* pc = new PushdownClusters();
       pc->topts.scale = 0.05;
       pc->data = GenerateTpch(pc->topts);
+      pc->reference = testing_support::TpchReferenceDb(pc->data);
       for (int push : kPushModes) {
         for (int width : kWidths) {
           auto inst = std::make_unique<Instance>();
@@ -482,53 +488,53 @@ std::vector<std::pair<std::string, QuerySpec>> PushdownQuerySet() {
 }
 
 // Cold scans must return bit-identical rows with pushdown off vs forced,
-// at every (scan mode x exec width x crunch mode). The off/width-1/rowwise
-// run is the oracle.
+// at every (exec width x crunch mode). The off/width-1 run is the
+// baseline, and it must match the reference executor.
 TEST(PushdownDifferential, ColdIdentityAcrossModesWidthsCrunch) {
   PushdownClusters* pc = PushdownClusters::Get();
-  constexpr ScanMode kScanModes[] = {ScanMode::kRowWise, ScanMode::kBlockEval,
-                                     ScanMode::kLateMat};
   constexpr CrunchMode kCrunches[] = {CrunchMode::kNone,
                                       CrunchMode::kHashFilter,
                                       CrunchMode::kContainerSplit};
   for (const auto& [name, spec] : PushdownQuerySet()) {
+    auto expected = ReferenceExecute(pc->reference, spec);
+    ASSERT_TRUE(expected.ok()) << name << ": " << expected.status().ToString();
     for (CrunchMode crunch : kCrunches) {
       std::vector<Row> baseline;
       bool have_baseline = false;
-      for (ScanMode mode : kScanModes) {
-        for (int push : kPushModes) {
-          for (int width : kWidths) {
-            EonCluster* cluster = pc->by_config[{push, width}]->cluster.get();
-            ClearAllCaches(cluster);
-            EonSession session(cluster, "", /*seed=*/31);
-            session.set_scan_mode(mode);
-            session.set_crunch_mode(crunch);
-            auto result = session.Execute(spec);
-            ASSERT_TRUE(result.ok())
-                << name << " " << ScanModeName(mode) << " push " << push
-                << " width " << width << ": " << result.status().ToString();
-            // Force mode must actually push whenever there is pushable
-            // work: a predicate (any crunch), or aggregates when crunch is
-            // off (crunch disables aggregate pushdown by design).
-            const bool pushable =
-                spec.scan.predicate != nullptr ||
-                (!spec.aggregates.empty() && crunch == CrunchMode::kNone);
-            if (push == 2 && pushable) {
-              EXPECT_GT(result->profile.pushdown_containers_pushed, 0u)
-                  << name << " " << ScanModeName(mode) << " width " << width
-                  << " crunch " << static_cast<int>(crunch);
-            }
-            if (!have_baseline) {
-              baseline = std::move(result->rows);
-              have_baseline = true;
-              continue;
-            }
-            std::string diff;
-            EXPECT_TRUE(BitIdentical(result->rows, baseline, &diff))
-                << name << " " << ScanModeName(mode) << " push " << push
-                << " width " << width << " crunch " << static_cast<int>(crunch)
-                << " diverged: " << diff;
+      for (int push : kPushModes) {
+        for (int width : kWidths) {
+          EonCluster* cluster = pc->by_config[{push, width}]->cluster.get();
+          ClearAllCaches(cluster);
+          EonSession session(cluster, "", /*seed=*/31);
+          session.set_crunch_mode(crunch);
+          auto result = session.Execute(spec);
+          ASSERT_TRUE(result.ok())
+              << name << " push " << push << " width " << width << ": "
+              << result.status().ToString();
+          // Force mode must actually push whenever there is pushable
+          // work: a predicate (any crunch), or aggregates when crunch is
+          // off (crunch disables aggregate pushdown by design).
+          const bool pushable =
+              spec.scan.predicate != nullptr ||
+              (!spec.aggregates.empty() && crunch == CrunchMode::kNone);
+          if (push == 2 && pushable) {
+            EXPECT_GT(result->profile.pushdown_containers_pushed, 0u)
+                << name << " width " << width << " crunch "
+                << static_cast<int>(crunch);
           }
+          std::string diff;
+          if (!have_baseline) {
+            EXPECT_TRUE(SameResults(result->rows, *expected,
+                                    /*ordered=*/false, &diff))
+                << name << " crunch " << static_cast<int>(crunch)
+                << " vs reference: " << diff;
+            baseline = std::move(result->rows);
+            have_baseline = true;
+            continue;
+          }
+          EXPECT_TRUE(BitIdentical(result->rows, baseline, &diff))
+              << name << " push " << push << " width " << width << " crunch "
+              << static_cast<int>(crunch) << " diverged: " << diff;
         }
       }
     }

@@ -1,6 +1,6 @@
 // Write-optimized-store tests: INSERT fast path through the WAL + WOS,
-// union scans vs the flush-then-query oracle (bit-identical across scan
-// modes and thread widths), DELETE/UPDATE over WOS-resident rows,
+// union scans vs the flush-then-query oracle (bit-identical across
+// thread widths), DELETE/UPDATE over WOS-resident rows,
 // moveout (threshold, TupleMover sweep, shared-WAL truncation safety),
 // crash recovery via WAL replay, and the SQL/session INSERT surface.
 
@@ -70,10 +70,8 @@ std::vector<Row> MakeRows(int64_t from, int64_t n) {
   return rows;
 }
 
-Result<QueryResult> RunQuery(EonCluster* cluster, ScanMode mode,
-                        const QuerySpec& spec) {
+Result<QueryResult> RunQuery(EonCluster* cluster, const QuerySpec& spec) {
   EonSession session(cluster);
-  session.set_scan_mode(mode);
   return session.Execute(spec);
 }
 
@@ -133,9 +131,6 @@ size_t ContainerCount(EonCluster* cluster) {
   return cluster->AnyUpNode()->catalog()->snapshot()->containers.size();
 }
 
-constexpr ScanMode kModes[] = {ScanMode::kRowWise, ScanMode::kBlockEval,
-                               ScanMode::kLateMat};
-
 TEST(WosTest, InsertVisibleBeforeMoveout) {
   auto b = MakeCluster(/*exec_threads=*/1, /*wos=*/1);
   ASSERT_NE(b, nullptr);
@@ -149,14 +144,14 @@ TEST(WosTest, InsertVisibleBeforeMoveout) {
   EXPECT_EQ(ContainerCount(b->cluster.get()), containers_before);
   EXPECT_EQ(TotalUnflushed(b->cluster.get()), 10u);
 
-  auto r = RunQuery(b->cluster.get(), ScanMode::kLateMat, FullScan());
+  auto r = RunQuery(b->cluster.get(), FullScan());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->rows.size(), 10u);
 }
 
 // The tentpole gate: a WOS+ROS union scan returns bit-identical rows to
-// querying after the WOS flushed — across all scan modes, at thread
-// widths 1 and 4, for plain scans, predicated scans, and aggregates.
+// querying after the WOS flushed — at thread widths 1 and 4, for plain
+// scans, predicated scans, and aggregates.
 TEST(WosTest, UnionScanBitIdenticalToFlushOracle) {
   for (int width : {1, 4}) {
     auto b = MakeCluster(width, /*wos=*/1);
@@ -171,12 +166,10 @@ TEST(WosTest, UnionScanBitIdenticalToFlushOracle) {
 
     const QuerySpec specs[] = {FullScan(), PredScan(), AggQuery()};
     std::vector<std::vector<Row>> before;
-    for (ScanMode mode : kModes) {
-      for (const QuerySpec& spec : specs) {
-        auto r = RunQuery(b->cluster.get(), mode, spec);
-        ASSERT_TRUE(r.ok()) << r.status().ToString();
-        before.push_back(r->rows);
-      }
+    for (const QuerySpec& spec : specs) {
+      auto r = RunQuery(b->cluster.get(), spec);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      before.push_back(r->rows);
     }
 
     auto moved = MoveoutWos(b->cluster.get(), "t");
@@ -184,22 +177,11 @@ TEST(WosTest, UnionScanBitIdenticalToFlushOracle) {
     EXPECT_EQ(*moved, 20u);
     EXPECT_EQ(TotalUnflushed(b->cluster.get()), 0u);
 
-    size_t i = 0;
-    for (ScanMode mode : kModes) {
-      for (const QuerySpec& spec : specs) {
-        auto r = RunQuery(b->cluster.get(), mode, spec);
-        ASSERT_TRUE(r.ok()) << r.status().ToString();
-        EXPECT_TRUE(RowsIdentical(before[i], r->rows))
-            << "width " << width << " mode " << static_cast<int>(mode)
-            << " spec " << (i % 3);
-        ++i;
-      }
-    }
-    // All scan modes agree with each other too (9 = 3 modes x 3 specs).
-    for (size_t m = 1; m < 3; ++m) {
-      for (size_t s = 0; s < 3; ++s) {
-        EXPECT_TRUE(RowsIdentical(before[s], before[m * 3 + s]));
-      }
+    for (size_t s = 0; s < before.size(); ++s) {
+      auto r = RunQuery(b->cluster.get(), specs[s]);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_TRUE(RowsIdentical(before[s], r->rows))
+          << "width " << width << " spec " << s;
     }
   }
 }
@@ -231,13 +213,11 @@ TEST(WosTest, WosOffFallbackBitIdentical) {
   ordered.order_by = "id";
   QuerySpec pred = PredScan();
   pred.order_by = "id";
-  for (ScanMode mode : kModes) {
-    for (const QuerySpec& spec : {ordered, pred, AggQuery()}) {
-      auto a = RunQuery(on->cluster.get(), mode, spec);
-      auto c = RunQuery(off->cluster.get(), mode, spec);
-      ASSERT_TRUE(a.ok() && c.ok());
-      EXPECT_TRUE(RowsIdentical(a->rows, c->rows));
-    }
+  for (const QuerySpec& spec : {ordered, pred, AggQuery()}) {
+    auto a = RunQuery(on->cluster.get(), spec);
+    auto c = RunQuery(off->cluster.get(), spec);
+    ASSERT_TRUE(a.ok() && c.ok());
+    EXPECT_TRUE(RowsIdentical(a->rows, c->rows));
   }
 }
 
@@ -260,7 +240,7 @@ TEST(WosTest, DeleteAndUpdateCoverWosRows) {
   ASSERT_TRUE(del_ros.ok());
   EXPECT_EQ(*del_ros, 5u);
 
-  auto r = RunQuery(b->cluster.get(), ScanMode::kLateMat, AggQuery());
+  auto r = RunQuery(b->cluster.get(), AggQuery());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->rows[0][1].int_value(), 25);  // 40 - 10 - 5.
 
@@ -273,15 +253,15 @@ TEST(WosTest, DeleteAndUpdateCoverWosRows) {
 
   QuerySpec q = FullScan();
   q.scan.predicate = Predicate::Cmp(0, CmpOp::kEq, Value::Int(25));
-  auto row = RunQuery(b->cluster.get(), ScanMode::kLateMat, q);
+  auto row = RunQuery(b->cluster.get(), q);
   ASSERT_TRUE(row.ok());
   ASSERT_EQ(row->rows.size(), 1u);
   EXPECT_EQ(row->rows[0][1].dbl_value(), 999.0);
 
   // The flush oracle agrees after everything lands in ROS.
-  auto before = RunQuery(b->cluster.get(), ScanMode::kLateMat, FullScan());
+  auto before = RunQuery(b->cluster.get(), FullScan());
   ASSERT_TRUE(MoveoutWos(b->cluster.get(), "t").ok());
-  auto after = RunQuery(b->cluster.get(), ScanMode::kLateMat, FullScan());
+  auto after = RunQuery(b->cluster.get(), FullScan());
   ASSERT_TRUE(before.ok() && after.ok());
   EXPECT_TRUE(RowsIdentical(before->rows, after->rows));
 }
@@ -301,7 +281,7 @@ TEST(WosTest, MoveoutThresholdTriggersSynchronously) {
   EXPECT_GT(ContainerCount(b->cluster.get()), containers_before);
   EXPECT_EQ(TotalUnflushed(b->cluster.get()), 0u);
 
-  auto r = RunQuery(b->cluster.get(), ScanMode::kLateMat, AggQuery());
+  auto r = RunQuery(b->cluster.get(), AggQuery());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->rows[0][1].int_value(), 10);
 }
@@ -377,11 +357,11 @@ TEST(WosTest, MoveoutTruncationPreservesOtherTablesRecords) {
   qu.scan.table = "u";
   qu.scan.columns = {"id", "v"};
   qu.aggregates = {{AggFn::kCount, "", "c"}};
-  auto ru = RunQuery(b->cluster.get(), ScanMode::kLateMat, qu);
+  auto ru = RunQuery(b->cluster.get(), qu);
   ASSERT_TRUE(ru.ok()) << ru.status().ToString();
   EXPECT_EQ(ru->rows[0][0].int_value(), 7);
 
-  auto rt = RunQuery(b->cluster.get(), ScanMode::kLateMat, AggQuery());
+  auto rt = RunQuery(b->cluster.get(), AggQuery());
   ASSERT_TRUE(rt.ok());
   EXPECT_EQ(rt->rows[0][1].int_value(), 6);
 }
@@ -400,7 +380,7 @@ TEST(WosTest, RecoveryAfterKillReplaysToCommittedState) {
   ASSERT_TRUE(deleted.ok());
   EXPECT_EQ(*deleted, 1u);
 
-  auto before = RunQuery(b->cluster.get(), ScanMode::kLateMat, FullScan());
+  auto before = RunQuery(b->cluster.get(), FullScan());
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before->rows.size(), 24u);
 
@@ -409,7 +389,7 @@ TEST(WosTest, RecoveryAfterKillReplaysToCommittedState) {
   ASSERT_TRUE(b->cluster->RestartNode(n1->oid()).ok());
   EXPECT_TRUE(n1->wos_enabled());
 
-  auto after = RunQuery(b->cluster.get(), ScanMode::kLateMat, FullScan());
+  auto after = RunQuery(b->cluster.get(), FullScan());
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_TRUE(RowsIdentical(before->rows, after->rows));
 
@@ -417,7 +397,7 @@ TEST(WosTest, RecoveryAfterKillReplaysToCommittedState) {
   auto moved = MoveoutWos(b->cluster.get(), "t");
   ASSERT_TRUE(moved.ok());
   EXPECT_EQ(*moved, 14u);  // 15 inserted minus 1 tombstoned.
-  auto oracle = RunQuery(b->cluster.get(), ScanMode::kLateMat, FullScan());
+  auto oracle = RunQuery(b->cluster.get(), FullScan());
   ASSERT_TRUE(oracle.ok());
   EXPECT_TRUE(RowsIdentical(before->rows, oracle->rows));
 }
@@ -449,7 +429,7 @@ TEST(WosTest, RestartAfterFullTruncationKeepsLaterInserts) {
   // checkpoint filter would drop them.
   ASSERT_TRUE(b->cluster->KillNode(n1->oid()).ok());
   ASSERT_TRUE(b->cluster->RestartNode(n1->oid()).ok());
-  auto r = RunQuery(b->cluster.get(), ScanMode::kLateMat, AggQuery());
+  auto r = RunQuery(b->cluster.get(), AggQuery());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->rows[0][1].int_value(), 10);
 }
@@ -492,7 +472,7 @@ TEST(WosTest, UpdateConcurrentWithInsertsLosesNoRows) {
   updater.join();
   EXPECT_EQ(failures.load(), 0);
 
-  auto r = RunQuery(b->cluster.get(), ScanMode::kLateMat, AggQuery());
+  auto r = RunQuery(b->cluster.get(), AggQuery());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->rows[0][1].int_value(), kBatches * kBatchRows);
 }
@@ -528,7 +508,7 @@ TEST(WosTest, KillAndRestartUnderConcurrentInsertsIsSafe) {
   writer.join();
 
   // Acknowledged inserts were durable before their ack: all are visible.
-  auto r = RunQuery(b->cluster.get(), ScanMode::kLateMat, AggQuery());
+  auto r = RunQuery(b->cluster.get(), AggQuery());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GE(r->rows[0][1].int_value(), acked.load());
   // The survivors still feed a clean moveout.
@@ -633,7 +613,7 @@ TEST(WosTest, MoveoutUnderConcurrentQueriesStaysConsistent) {
   for (auto& th : readers) th.join();
   EXPECT_EQ(failures.load(), 0);
 
-  auto final = RunQuery(b->cluster.get(), ScanMode::kLateMat, AggQuery());
+  auto final = RunQuery(b->cluster.get(), AggQuery());
   ASSERT_TRUE(final.ok());
   EXPECT_EQ(final->rows[0][1].int_value(), kBatches * kBatchRows);
 }
