@@ -14,8 +14,10 @@
 # queries — span producers on the exec and I/O pools racing dc_trace_spans
 # scans (test_trace); and the write path — concurrent committers racing
 # the group-commit leader (test_wal) plus moveout + inserts racing
-# union-scan queries (test_wos). Uses a separate build directory so the
-# normal build/ stays sanitizer-free.
+# union-scan queries (test_wos), with the moveout's uploads, flush-marker
+# commits and log-truncation deletes running on I/O-pool lanes
+# (ParallelFor, whose concurrent callers test_common races). Uses a
+# separate build directory so the normal build/ stays sanitizer-free.
 #
 # A second configuration builds with -DEON_SIMD=off (every kernel pinned to
 # the scalar reference) and reruns the kernel differentials and the

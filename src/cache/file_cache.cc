@@ -400,8 +400,15 @@ PendingFile FileCache::FetchRefAsync(const std::string& key) {
   // query finishes first).
   options_.io_pool->Submit(
       [this, key, pending, trace = obs::CurrentTraceCopy()]() mutable {
-        obs::TraceScope task_trace(std::move(trace));
-        pending.Complete(FetchShared(key, /*allow_insert=*/true, /*pin=*/true));
+        {
+          obs::TraceScope task_trace(std::move(trace));
+          pending.Complete(
+              FetchShared(key, /*allow_insert=*/true, /*pin=*/true));
+        }
+        // Drop this task's handle before EndAsyncTask: once the reader has
+        // dropped its copy, the handle holds the last pinned ref, and its
+        // unpin must reach a cache the destructor has not freed yet.
+        pending = PendingFile();
         EndAsyncTask();
       });
   return pending;
@@ -657,53 +664,18 @@ std::vector<std::string> FileCache::MostRecentlyUsed(
 Status FileCache::WarmFrom(const std::vector<std::string>& keys,
                            FileFetcher* source) {
   const int64_t warm_start = WarmWallMicros();
-  // Warm in reverse so the most-recently-used file ends up most recent
-  // here too, making the new cache "resemble the cache of its peer".
-  if (options_.io_pool == nullptr || keys.size() <= 1) {
-    for (auto it = keys.rbegin(); it != keys.rend(); ++it) {
-      Result<std::string> data = source->Fetch(*it);
-      if (!data.ok()) {
-        if (data.status().IsNotFound()) continue;  // Peer evicted meanwhile.
-        return data.status();
-      }
-      EON_RETURN_IF_ERROR(Insert(*it, *data));
-      metrics_.warm_files->Increment();
-    }
-    metrics_.warm_micros->Observe(
-        static_cast<double>(WarmWallMicros() - warm_start));
-    return Status::OK();
-  }
-
   // Fan the source fetches out on the I/O pool — warming N files costs
-  // roughly the slowest single fetch, not the sum — then insert serially
-  // in the same reverse order as the serial path, so the warmed LRU order
-  // is byte-identical.
-  struct WarmState {
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t remaining = 0;
-    std::vector<std::optional<Result<std::string>>> results;
-  };
-  auto state = std::make_shared<WarmState>();
-  state->remaining = keys.size();
-  state->results.resize(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    options_.io_pool->Submit([state, source, &keys, i] {
-      Result<std::string> got = source->Fetch(keys[i]);
-      std::lock_guard<std::mutex> lock(state->mu);
-      state->results[i] = std::move(got);
-      if (--state->remaining == 0) state->cv.notify_all();
-    });
-  }
-  {
-    // Block here (not via BeginAsyncTask bookkeeping): `keys` and `source`
-    // are borrowed from this stack frame, so the tasks must not outlive
-    // the call.
-    std::unique_lock<std::mutex> lock(state->mu);
-    state->cv.wait(lock, [&] { return state->remaining == 0; });
-  }
+  // roughly the slowest fetch per lane, not the sum — then insert serially
+  // in reverse, so the most-recently-used file ends up most recent here
+  // too, making the new cache "resemble the cache of its peer".
+  std::vector<std::optional<Result<std::string>>> results(keys.size());
+  EON_RETURN_IF_ERROR(
+      ParallelFor(options_.io_pool, keys.size(), [&](size_t i) {
+        results[i] = source->Fetch(keys[i]);
+        return Status::OK();
+      }));
   for (size_t n = keys.size(); n-- > 0;) {
-    Result<std::string>& data = *state->results[n];
+    Result<std::string>& data = *results[n];
     if (!data.ok()) {
       if (data.status().IsNotFound()) continue;  // Peer evicted meanwhile.
       return data.status();

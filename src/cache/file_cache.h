@@ -180,9 +180,11 @@ class FileCache : public FileFetcher {
 
   /// Warm this cache: fetch `keys` from `source` (a peer's cache or shared
   /// storage) and insert. Missing keys are skipped, not errors. With an
-  /// I/O pool the fetches fan out in parallel, so warming N files costs
-  /// about the slowest single fetch rather than the sum; insertion order
-  /// (and thus the warmed LRU order) matches the serial path exactly.
+  /// I/O pool the fetches fan out in parallel (ParallelFor), so warming N
+  /// files costs about the slowest fetch per lane rather than the sum;
+  /// every fetch completes before the first insert, and insertion runs
+  /// serially in reverse key order whatever the pool, so the warmed LRU
+  /// order is the same with or without one.
   Status WarmFrom(const std::vector<std::string>& keys, FileFetcher* source);
 
   /// Resident lookup without recency update or fill — the peer side of

@@ -606,25 +606,33 @@ Status EonCluster::RestartNode(Oid node_oid, bool warm_cache) {
   Node* target = node(node_oid);
   if (target == nullptr) return Status::NotFound("no such node");
   if (target->is_up()) return Status::InvalidArgument("node is already up");
-  target->MarkUp();
-  target->SetIncarnation(incarnation_);
+  {
+    // Coming up and catching up are one step for concurrent commits: a
+    // commit that saw the node up before its catalog caught up would
+    // replicate onto a stale version, or race the catch-up into applying
+    // the same record twice.
+    std::lock_guard<std::mutex> commit_lock(commit_mu_);
+    target->MarkUp();
+    target->SetIncarnation(incarnation_);
 
-  // The restarted process replays its WAL from shared storage: committed
-  // WOS rows that were lost with the old process's memory come back.
-  Status wos_recovered = target->RecoverWos();
-  if (!wos_recovered.ok()) {
-    target->MarkDown();
-    return wos_recovered;
-  }
+    // The restarted process replays its WAL from shared storage:
+    // committed WOS rows that were lost with the old process's memory
+    // come back.
+    Status wos_recovered = target->RecoverWos();
+    if (!wos_recovered.ok()) {
+      target->MarkDown();
+      return wos_recovered;
+    }
 
-  // Catch up on log records missed while down (local logs survived the
-  // process termination; only the delta transfers).
-  Status caught_up = BringNodeUpToDate(target);
-  if (!caught_up.ok()) {
-    // "Failure to resubscribe is a critical failure ... the node goes
-    // down to ensure visibility to the administrator" (Section 6.1).
-    target->MarkDown();
-    return caught_up;
+    // Catch up on log records missed while down (local logs survived the
+    // process termination; only the delta transfers).
+    Status caught_up = BringNodeUpToDate(target);
+    if (!caught_up.ok()) {
+      // "Failure to resubscribe is a critical failure ... the node goes
+      // down to ensure visibility to the administrator" (Section 6.1).
+      target->MarkDown();
+      return caught_up;
+    }
   }
   Status s = ResubscribeNode(target, warm_cache);
   if (!s.ok()) {

@@ -1,6 +1,7 @@
 #ifndef EON_CLUSTER_CLUSTER_H_
 #define EON_CLUSTER_CLUSTER_H_
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -309,7 +310,8 @@ class EonCluster {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<PendingFileDelete> pending_deletes_;
   uint64_t last_truncation_ = 0;
-  bool shutdown_ = false;
+  /// Written by node lifecycle calls, read by concurrent commits.
+  std::atomic<bool> shutdown_{false};
   /// Serializes the commit point of CommitDistributed: the coordinator's
   /// catalog commit and the replication of its log record to peers must
   /// be atomic, or a later version can reach a peer before an earlier

@@ -36,6 +36,7 @@ Node::Node(Oid oid, std::string name, std::string subcluster,
     wopts.segment_bytes = options_.wos.wal_segment_bytes;
     wopts.registry = options_.cache.registry;
     wopts.collector = dc_.get();
+    wopts.io_pool = options_.cache.io_pool;
     wal_ = std::make_unique<WalWriter>(
         shared_, WalPrefix(), clock_, wopts,
         [this](const WalRecord& record) { wos_->Apply(record); });

@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/status.h"
+
 namespace eon {
 
 namespace obs {
@@ -78,6 +80,31 @@ class IoPool {
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
 };
+
+/// Blocking fan-out: run fn(0), ..., fn(n-1) on min(n, num_threads) lanes
+/// of `pool` — one task per lane, each claiming the next unstarted index
+/// until none is left — and return once every call has finished. Every
+/// index runs even after a failure; the result is the error of the lowest
+/// failing index (deterministic whatever the completion order), else OK.
+///
+/// For callers that keep many object-store round trips in flight while
+/// they wait (uploads, deletes, log commits): the cost is about the
+/// slowest request per lane round instead of the sum. Lanes rather than
+/// one task per item keep a many-thousand-file load at a handful of pool
+/// tasks. `fn` may borrow the caller's stack — the call does not return
+/// while any lane can still touch it. Each lane reinstalls the caller's
+/// trace context and DcNodeScope, so spans and dc_store_requests rows
+/// land under the caller's query and node.
+///
+/// Runs inline on the caller when `pool` is null or n <= 1. Refuses
+/// (Internal, nothing run) when called with a pool from an I/O-pool
+/// worker: a lane waiting on lanes queued behind it could deadlock the
+/// pool.
+Status ParallelFor(IoPool* pool, size_t n,
+                   const std::function<Status(size_t)>& fn);
+
+/// Lanes ParallelFor(pool, n, ...) runs on: 0 for n == 0, 1 inline.
+size_t ParallelForLanes(const IoPool* pool, size_t n);
 
 }  // namespace eon
 

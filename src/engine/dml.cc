@@ -4,6 +4,7 @@
 #include <map>
 
 #include "columnar/sort.h"
+#include "common/io_pool.h"
 #include "engine/executor.h"
 #include "obs/dc.h"
 #include "obs/trace.h"
@@ -432,9 +433,13 @@ Result<uint64_t> MoveoutWos(EonCluster* cluster, const std::string& table) {
     span.SetAttribute("version", static_cast<int64_t>(*version));
   }
 
-  // Mark the moved batches flushed, durably, before the gates drop. The
-  // only double-exposure window left is a crash between the container
-  // commit above and this marker becoming durable (DESIGN.md §14).
+  // Mark the moved batches flushed, durably, before the gates drop:
+  // append every node's marker, then commit them all at once, so the gated
+  // window pays one log round trip, not one per node. The only
+  // double-exposure window left is a crash between the container commit
+  // above and these markers becoming durable (DESIGN.md §14).
+  std::vector<uint64_t> marker_lsns;
+  marker_lsns.reserve(flushes.size());
   for (const NodeFlush& f : flushes) {
     WosFlushPayload p;
     p.table_oid = tdef->oid;
@@ -443,9 +448,14 @@ Result<uint64_t> MoveoutWos(EonCluster* cluster, const std::string& table) {
     WalRecord rec;
     rec.kind = WalRecord::Kind::kFlush;
     rec.payload = EncodeWosFlush(p);
-    const uint64_t lsn = f.node->wal()->Append(std::move(rec));
-    Result<WalCommitInfo> committed = f.node->wal()->Commit(lsn);
-    if (!committed.ok()) return committed.status();
+    marker_lsns.push_back(f.node->wal()->Append(std::move(rec)));
+  }
+  EON_RETURN_IF_ERROR(
+      ParallelFor(cluster->io_pool(), flushes.size(), [&](size_t i) {
+        obs::DcNodeScope dc_scope(flushes[i].node->name());
+        return flushes[i].node->wal()->Commit(marker_lsns[i]).status();
+      }));
+  for (const NodeFlush& f : flushes) {
     obs::DcWalEvent e;
     e.kind = "moveout";
     e.table = table;
@@ -459,12 +469,14 @@ Result<uint64_t> MoveoutWos(EonCluster* cluster, const std::string& table) {
   // Log truncation, outside the gates. The WAL is shared by every table
   // on a node, so each node's safe watermark is just below its oldest
   // still-unflushed batch (any table); with nothing unflushed the whole
-  // synced log can go.
+  // synced log can go. Each Truncate fans its deletes out on the I/O pool
+  // and bills them to its node.
   for (const NodeFlush& f : flushes) {
     const uint64_t min_unflushed = f.node->wos()->MinUnflushedLsn();
     const uint64_t safe = min_unflushed == 0 ? f.node->wal()->synced_lsn()
                                              : min_unflushed - 1;
     if (safe == 0) continue;
+    obs::DcNodeScope dc_scope(f.node->name());
     Status truncated = f.node->wal()->Truncate(safe);
     if (!truncated.ok()) continue;  // Retried by the next moveout.
     obs::DcWalEvent e;
@@ -521,13 +533,30 @@ Result<uint64_t> LoadIntoTablesFiltered(
 
   CatalogTxn txn;
   std::map<ShardId, std::set<Oid>> observed_subscribers;
-  std::vector<std::string> uploaded_keys;  // For rollback.
 
-  // Roll back uploads if anything fails past the first upload.
-  auto rollback = [&]() {
-    for (const std::string& key : uploaded_keys) {
-      cluster->shared_storage()->Delete(key);  // Best effort.
-      for (const auto& n : cluster->nodes()) n->cache()->Drop(key);
+  // Every column file of the load, built and write-through cached on its
+  // writer, waiting for the one upload fan-out below.
+  struct StagedFile {
+    RosColumnFile file;
+    Node* writer = nullptr;
+    ShardId shard = 0;
+  };
+  std::vector<StagedFile> staged;
+  IoPool* io_pool = cluster->io_pool();
+
+  // Undo a failed load: drop every staged key from every cache and, once
+  // the upload fan-out has run, delete it from shared storage. Only ever
+  // called after every upload lane has returned, so no PUT can land after
+  // the DELETE that reclaims it.
+  auto rollback = [&](bool uploads_ran) {
+    if (uploads_ran) {
+      ParallelFor(io_pool, staged.size(), [&](size_t i) {
+        cluster->shared_storage()->Delete(staged[i].file.key);  // Best effort.
+        return Status::OK();
+      });
+    }
+    for (const StagedFile& f : staged) {
+      for (const auto& n : cluster->nodes()) n->cache()->Drop(f.file.key);
     }
   };
 
@@ -565,7 +594,7 @@ Result<uint64_t> LoadIntoTablesFiltered(
       }
       Node* writer = cluster->node(writer_oid);
       if (writer == nullptr || !writer->is_up()) {
-        rollback();
+        rollback(/*uploads_ran=*/false);
         return Status::Unavailable("writer node is down");
       }
       for (Oid sub : snapshot->SubscribersOf(group.shard, receiving)) {
@@ -581,36 +610,18 @@ Result<uint64_t> LoadIntoTablesFiltered(
       Result<RosBuildResult> built =
           RosContainerWriter::Build(proj_schema, group.rows, base_key, wopts);
       if (!built.ok()) {
-        rollback();
+        rollback(/*uploads_ran=*/false);
         return built.status();
       }
 
-      for (const RosColumnFile& file : built->files) {
-        // Write-through the writer's cache, upload, then push to peers.
+      for (RosColumnFile& file : built->files) {
+        staged.push_back(StagedFile{std::move(file), writer, group.shard});
         if (options.write_through_cache) {
-          Status s = writer->cache()->Insert(file.key, file.data);
+          const RosColumnFile& f = staged.back().file;
+          Status s = writer->cache()->Insert(f.key, f.data);
           if (!s.ok()) {
-            rollback();
+            rollback(/*uploads_ran=*/false);
             return s;
-          }
-        }
-        Status up = [&] {
-          // Attribute the upload's request cost to the writing node.
-          obs::DcNodeScope dc_scope(writer->name());
-          return cluster->shared_storage()->Put(file.key, file.data);
-        }();
-        if (!up.ok()) {
-          rollback();
-          return up;
-        }
-        uploaded_keys.push_back(file.key);
-        if (options.write_through_cache) {
-          for (Oid sub : observed_subscribers[group.shard]) {
-            if (sub == writer_oid) continue;
-            Node* peer = cluster->node(sub);
-            if (peer != nullptr && peer->is_up()) {
-              peer->cache()->Insert(file.key, file.data);
-            }
           }
         }
       }
@@ -631,13 +642,35 @@ Result<uint64_t> LoadIntoTablesFiltered(
   }
   }
 
+  // Upload every staged file at once: the load costs a few store round
+  // trips, not one per file. Each PUT is billed to its writing node.
+  Status uploaded = ParallelFor(io_pool, staged.size(), [&](size_t i) {
+    obs::DcNodeScope dc_scope(staged[i].writer->name());
+    return cluster->shared_storage()->Put(staged[i].file.key,
+                                          staged[i].file.data);
+  });
+  if (!uploaded.ok()) {
+    rollback(/*uploads_ran=*/true);
+    return uploaded;
+  }
+  // Durable: push the files to the caches of the shard's peer subscribers.
+  if (options.write_through_cache) {
+    for (const StagedFile& f : staged) {
+      for (Oid sub : observed_subscribers[f.shard]) {
+        Node* peer = cluster->node(sub);
+        if (peer == nullptr || peer == f.writer || !peer->is_up()) continue;
+        peer->cache()->Insert(f.file.key, f.file.data);
+      }
+    }
+  }
+
   // Commit point: all data is on shared storage; node failure past this
   // point cannot lose files. The subscription-change invariant is checked
   // inside CommitDistributed and rolls the transaction back if violated.
   Result<uint64_t> version =
       cluster->CommitDistributed(coord->oid(), txn, &observed_subscribers);
   if (!version.ok()) {
-    rollback();
+    rollback(/*uploads_ran=*/true);
     return version.status();
   }
   return *version;

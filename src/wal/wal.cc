@@ -7,6 +7,7 @@
 
 #include "common/codec.h"
 #include "common/hash.h"
+#include "common/io_pool.h"
 #include "obs/dc.h"
 #include "obs/trace.h"
 
@@ -31,6 +32,12 @@ uint64_t PartMaxLsn(const std::string& key) {
   const size_t dash = key.rfind('-');
   if (dash == std::string::npos) return 0;
   return strtoull(key.c_str() + dash + 1, nullptr, 10);
+}
+
+/// LSN of a "<prefix>ckpt/<lsn>" checkpoint marker key.
+uint64_t MarkerLsn(const std::string& key) {
+  const size_t slash = key.rfind('/');
+  return strtoull(key.c_str() + slash + 1, nullptr, 10);
 }
 
 }  // namespace
@@ -224,6 +231,13 @@ Result<WalCommitInfo> WalWriter::Commit(uint64_t lsn) {
     flush_in_progress_ = false;
     cv_.notify_all();
     if (!s.ok()) return s;
+    if (gsize == 0 && synced_lsn_ < lsn) {
+      // Nothing was pending, so `lsn` can never become durable: a Close
+      // dropped its record (appended while closed, or buffered at the
+      // close) and the writer has reopened since. Looping would spin
+      // while holding mu_, starving the restart's SetNextLsn.
+      return Status::Unavailable("wal record dropped by a node restart");
+    }
     info.led_group = true;
     info.group_size = gsize;
     info.group_bytes = gbytes;
@@ -234,33 +248,53 @@ Result<WalCommitInfo> WalWriter::Commit(uint64_t lsn) {
 }
 
 Status WalWriter::Truncate(uint64_t up_to_lsn) {
-  EON_ASSIGN_OR_RETURN(std::vector<ObjectMeta> parts,
-                       store_->List(prefix_ + "seg"));
-  for (const ObjectMeta& m : parts) {
-    const uint64_t max_lsn = PartMaxLsn(m.key);
-    if (max_lsn != 0 && max_lsn <= up_to_lsn) {
-      Status s = store_->Delete(m.key);
-      if (s.ok()) {
-        std::lock_guard<std::mutex> lock(mu_);
-        stats_.parts_deleted++;
-      }
+  obs::Span span = obs::StartTraceSpan("wal_truncate");
+  // One listing of the whole log prefix serves both delete passes: the
+  // covered parts and the checkpoint markers older than this one.
+  EON_ASSIGN_OR_RETURN(std::vector<ObjectMeta> listed, store_->List(prefix_));
+  const std::string part_prefix = prefix_ + "seg";
+  const std::string marker_prefix = prefix_ + "ckpt/";
+  std::vector<std::string> covered_parts;
+  std::vector<std::string> stale_markers;
+  int64_t parts_listed = 0;
+  for (const ObjectMeta& m : listed) {
+    if (Slice(m.key).starts_with(part_prefix)) {
+      ++parts_listed;
+      const uint64_t max_lsn = PartMaxLsn(m.key);
+      if (max_lsn != 0 && max_lsn <= up_to_lsn) covered_parts.push_back(m.key);
+    } else if (Slice(m.key).starts_with(marker_prefix) &&
+               MarkerLsn(m.key) < up_to_lsn) {
+      stale_markers.push_back(m.key);
     }
+  }
+
+  std::atomic<uint64_t> deleted{0};
+  EON_RETURN_IF_ERROR(ParallelFor(
+      options_.io_pool, covered_parts.size(), [&](size_t i) {
+        if (store_->Delete(covered_parts[i]).ok()) deleted.fetch_add(1);
+        return Status::OK();  // Best effort: retried next truncation.
+      }));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_.parts_deleted += deleted.load();
+  }
+  if (span.valid()) {
+    span.SetAttribute("parts_listed", parts_listed);
+    span.SetAttribute("parts_deleted", static_cast<int64_t>(deleted.load()));
+    span.SetAttribute("lanes", static_cast<int64_t>(ParallelForLanes(
+                                   options_.io_pool, covered_parts.size())));
   }
   // Checkpoint marker: replay skips records at or below this LSN even
   // when a straddling part survived the deletes above.
-  Status ck = store_->Put(prefix_ + "ckpt/" + Pad(up_to_lsn, 20), "");
+  Status ck = store_->Put(marker_prefix + Pad(up_to_lsn, 20), "");
   if (!ck.ok() && !ck.IsAlreadyExists()) return ck;
   // Older markers are redundant (replay takes the max) — prune them so a
   // long-lived node doesn't accumulate one object per truncation. Best
   // effort: a survivor is picked up by the next truncation.
-  EON_ASSIGN_OR_RETURN(std::vector<ObjectMeta> ckpts,
-                       store_->List(prefix_ + "ckpt/"));
-  for (const ObjectMeta& m : ckpts) {
-    const size_t slash = m.key.rfind('/');
-    const uint64_t lsn = strtoull(m.key.c_str() + slash + 1, nullptr, 10);
-    if (lsn < up_to_lsn) store_->Delete(m.key);
-  }
-  return Status::OK();
+  return ParallelFor(options_.io_pool, stale_markers.size(), [&](size_t i) {
+    store_->Delete(stale_markers[i]);
+    return Status::OK();
+  });
 }
 
 void WalWriter::Close() {
@@ -309,9 +343,7 @@ Result<WalReplay> ReadWal(ObjectStore* store, const std::string& prefix) {
   EON_ASSIGN_OR_RETURN(std::vector<ObjectMeta> ckpts,
                        store->List(prefix + "ckpt/"));
   for (const ObjectMeta& m : ckpts) {
-    const size_t slash = m.key.rfind('/');
-    const uint64_t lsn = strtoull(m.key.c_str() + slash + 1, nullptr, 10);
-    replay.checkpoint_lsn = std::max(replay.checkpoint_lsn, lsn);
+    replay.checkpoint_lsn = std::max(replay.checkpoint_lsn, MarkerLsn(m.key));
   }
 
   EON_ASSIGN_OR_RETURN(std::vector<ObjectMeta> parts,

@@ -19,6 +19,8 @@
 
 namespace eon {
 
+class IoPool;
+
 namespace obs {
 class DataCollector;
 }  // namespace obs
@@ -82,6 +84,9 @@ struct WalOptions {
   /// Data Collector receiving group_commit events (dc_wal_events);
   /// null = not recorded.
   obs::DataCollector* collector = nullptr;
+  /// I/O pool Truncate fans its deletes out on (the node's cache pool);
+  /// null = one request at a time on the caller.
+  IoPool* io_pool = nullptr;
 };
 
 /// Append-only log writer over an object store. Objects are immutable (no
@@ -117,7 +122,12 @@ class WalWriter {
 
   /// Delete part objects whose records all have LSN <= `up_to_lsn` and
   /// write a checkpoint marker so replay skips the truncated range even
-  /// if some parts straddling the boundary survive.
+  /// if some parts straddling the boundary survive; then prune the older
+  /// markers. One LIST of the whole prefix feeds both delete passes, and
+  /// each pass runs in parallel on `WalOptions::io_pool`. Deletes are best
+  /// effort (a survivor is caught by the next truncation); the call fails
+  /// only when the listing or the marker write fails. Must not be called
+  /// from an I/O-pool worker.
   Status Truncate(uint64_t up_to_lsn);
 
   uint64_t last_lsn() const;

@@ -1,25 +1,32 @@
 // Unit tests for the common runtime: Status/Result, hashing, codec, SIDs,
-// JSON, RNG, clocks, thread pool.
+// JSON, RNG, clocks, thread pool, and the I/O pool's ParallelFor fan-out
+// (race-labeled: concurrent callers share one pool under TSan).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
+#include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/codec.h"
 #include "common/hash.h"
+#include "common/io_pool.h"
 #include "common/json.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "common/sid.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "obs/dc.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace eon {
 namespace {
@@ -395,6 +402,153 @@ TEST(ThreadPoolTest, ExportsPoolMetrics) {
   EXPECT_GT(registry.GetCounter("eon_pool_tasks_total", labels)->Value(), 0u);
   EXPECT_GT(registry.GetHistogram("eon_pool_task_micros", labels)->Count(),
             0u);
+}
+
+// --- IoPool ParallelFor: the blocking fan-out for object-store round trips
+
+std::unique_ptr<IoPool> MakeIoPool(int threads) {
+  IoPool::Options opts;
+  opts.num_threads = threads;
+  return std::make_unique<IoPool>(opts);
+}
+
+TEST(IoParallelForTest, NullPoolRunsInlineInIndexOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  bool off_caller = false;
+  Status s = ParallelFor(nullptr, 5, [&](size_t i) {
+    if (std::this_thread::get_id() != caller) off_caller = true;
+    order.push_back(i);
+    return Status::OK();
+  });
+  EXPECT_TRUE(s.ok());
+  EXPECT_FALSE(off_caller);
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(ParallelForLanes(nullptr, 5), 1u);
+  EXPECT_EQ(ParallelForLanes(nullptr, 0), 0u);
+  // n <= 1 stays on the caller even with a pool.
+  auto pool = MakeIoPool(4);
+  EXPECT_TRUE(ParallelFor(pool.get(), 1, [&](size_t) {
+                return std::this_thread::get_id() == caller
+                           ? Status::OK()
+                           : Status::Internal("ran off the caller");
+              }).ok());
+  EXPECT_TRUE(ParallelFor(pool.get(), 0, [](size_t) {
+                return Status::Internal("no index to run");
+              }).ok());
+}
+
+TEST(IoParallelForTest, FirstErrorReturnedWhileEveryIndexRuns) {
+  auto pool = MakeIoPool(4);
+  for (IoPool* p : {static_cast<IoPool*>(nullptr), pool.get()}) {
+    constexpr size_t kN = 64;
+    std::vector<std::atomic<int>> ran(kN);
+    Status s = ParallelFor(p, kN, [&](size_t i) {
+      ran[i].fetch_add(1);
+      if (i == 17) return Status::IOError("seventeen");
+      if (i == 40) return Status::NotFound("forty");
+      return Status::OK();
+    });
+    // The lowest failing index wins, whatever order the lanes finished.
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    for (size_t i = 0; i < kN; ++i) EXPECT_EQ(ran[i].load(), 1) << i;
+  }
+}
+
+TEST(IoParallelForTest, ManyMoreIndicesThanThreadsUseFewLanes) {
+  obs::MetricsRegistry registry;
+  IoPool::Options opts;
+  opts.num_threads = 4;
+  opts.metrics_name = "fanout";
+  opts.registry = &registry;
+  IoPool pool(opts);
+  constexpr size_t kN = 10000;
+  std::vector<std::atomic<int>> hits(kN);
+  ASSERT_TRUE(ParallelFor(&pool, kN, [&](size_t i) {
+                hits[i].fetch_add(1);
+                return Status::OK();
+              }).ok());
+  for (size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
+  EXPECT_EQ(ParallelForLanes(&pool, kN), 4u);
+  // One pool task per lane, not one per index. The counter ticks after
+  // the task body returns, so poll briefly for the last lane.
+  obs::Counter* tasks =
+      registry.GetCounter("eon_io_pool_tasks_total", {{"pool", "fanout"}});
+  for (int spin = 0; spin < 1000 && tasks->Value() < 4; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(tasks->Value(), 4u);
+}
+
+TEST(IoParallelForTest, ConcurrentCallersShareOnePool) {
+  auto pool = MakeIoPool(4);
+  constexpr int kCallers = 8;
+  constexpr size_t kN = 200;
+  std::vector<std::vector<int>> hits(kCallers, std::vector<int>(kN, 0));
+  std::vector<Status> results(kCallers, Status::OK());
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      results[c] = ParallelFor(pool.get(), kN, [&, c](size_t i) {
+        hits[c][i]++;  // Each index is owned by exactly one lane.
+        std::this_thread::yield();
+        return Status::OK();
+      });
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) {
+    EXPECT_TRUE(results[c].ok());
+    for (size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[c][i], 1) << c << "/" << i;
+  }
+}
+
+TEST(IoParallelForTest, LambdasBorrowTheCallersStack) {
+  auto pool = MakeIoPool(3);
+  for (int round = 0; round < 50; ++round) {
+    // Stack-local inputs and outputs, written without synchronization:
+    // the call must not return while any lane can still touch them.
+    std::vector<std::string> keys;
+    for (int i = 0; i < 16; ++i) keys.push_back("k" + std::to_string(i));
+    std::vector<std::string> out(keys.size());
+    ASSERT_TRUE(ParallelFor(pool.get(), keys.size(), [&](size_t i) {
+                  out[i] = keys[i] + "!";
+                  return Status::OK();
+                }).ok());
+    for (size_t i = 0; i < keys.size(); ++i) EXPECT_EQ(out[i], keys[i] + "!");
+  }
+}
+
+TEST(IoParallelForTest, LanesCarryTraceAndNodeScope) {
+  auto pool = MakeIoPool(4);
+  SimClock clock;
+  obs::TraceContext context;
+  context.tracer = std::make_shared<obs::Tracer>(&clock);
+  context.trace_id = 77;
+  obs::TraceScope trace_scope(context);
+  const std::string node = "node7";
+  obs::DcNodeScope node_scope(node);
+  std::atomic<int> mismatches{0};
+  ASSERT_TRUE(ParallelFor(pool.get(), 32, [&](size_t) {
+                const obs::TraceContext* t = obs::TraceScope::Current();
+                if (t == nullptr || t->trace_id != 77 ||
+                    obs::DcNodeScope::Current() != "node7") {
+                  mismatches.fetch_add(1);
+                }
+                return Status::OK();
+              }).ok());
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(IoParallelForTest, RefusesToRunOnAnIoWorker) {
+  auto pool = MakeIoPool(2);
+  std::promise<Status> nested;
+  pool->Submit([&] {
+    nested.set_value(
+        ParallelFor(pool.get(), 4, [](size_t) { return Status::OK(); }));
+  });
+  Status s = nested.get_future().get();
+  EXPECT_TRUE(s.IsInternal()) << s.ToString();
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 // per-container morsels -> I/O -> merge -> serialize, queryable via
 // dc_trace_spans and exportable as Chrome trace-event JSON; latency
 // attribution sums to the root wall exactly at any pool width; sampling
-// is a pure deterministic function of the trace id; and results are
-// bit-identical with tracing off, armed, or always-on. The concurrency
+// is a pure deterministic function of the trace id; results are
+// bit-identical with tracing off, armed, or always-on; and a traced
+// moveout's I/O-pool uploads, marker commits and log deletes stay under
+// its trace, billed to the node that issued them. The concurrency
 // test (traced queries on several wire clients racing dc_trace_spans
 // scans) is part of the race-labeled suite scripts/tsan.sh runs under
 // TSan.
@@ -20,6 +22,7 @@
 
 #include "cluster/cluster.h"
 #include "engine/ddl.h"
+#include "engine/dml.h"
 #include "engine/session.h"
 #include "engine/sql.h"
 #include "engine/system_tables.h"
@@ -342,6 +345,91 @@ TEST(TraceAttribution, SyntheticTreeSumsExactly) {
   EXPECT_EQ(attr.SumMicros(), attr.wall_micros);
   std::string err;
   EXPECT_TRUE(obs::SpansNest(spans, &err)) << err;
+}
+
+// --- Moveout: fanned-out store requests stay under the trace -------------
+
+TEST(TraceMoveout, FannedOutRequestsCarryTraceAndWritingNode) {
+  SimClock clock;
+  SimObjectStore store(SimStoreOptions{}, &clock);
+  ClusterOptions copts;
+  copts.num_shards = 2;
+  copts.k_safety = 2;
+  copts.io_threads = 4;
+  copts.wos = 1;
+  copts.group_commit_micros = 0;
+  copts.wos_flush_rows = int64_t{1} << 40;  // Moveout only when asked.
+  const std::vector<std::string> names = {"node1", "node2", "node3"};
+  std::vector<NodeSpec> specs;
+  for (const std::string& name : names) specs.push_back(NodeSpec{name, ""});
+  auto created = EonCluster::Create(&store, &clock, copts, specs);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  EonCluster* cluster = created->get();
+  Schema schema({{"id", DataType::kInt64}, {"v", DataType::kDouble}});
+  ASSERT_TRUE(CreateTable(cluster, "t", schema, std::nullopt,
+                          {ProjectionSpec{"t_super", {}, {"id"}, {"id"}}})
+                  .ok());
+  // Two writing nodes, each with a multi-part log to truncate.
+  for (const std::string& node : {"node1", "node2"}) {
+    InsertOptions iopts;
+    iopts.connected_node = node;
+    for (int64_t batch = 0; batch < 6; ++batch) {
+      std::vector<Row> rows;
+      for (int64_t i = 0; i < 5; ++i) {
+        rows.push_back(Row{Value::Int(batch * 5 + i), Value::Dbl(0.5)});
+      }
+      ASSERT_TRUE(InsertInto(cluster, "t", rows, iopts).ok());
+    }
+  }
+
+  auto tracer = std::make_shared<obs::Tracer>(&clock);
+  obs::TraceContext context;
+  context.tracer = tracer;
+  context.trace_id = obs::NextTraceId();
+  tracer->set_trace_id(context.trace_id);
+  {
+    obs::TraceScope scope(context);
+    auto moved = MoveoutWos(cluster, "t");
+    ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+    EXPECT_EQ(*moved, 60u);
+  }
+
+  const std::set<std::string> node_set(names.begin(), names.end());
+  int data_puts = 0;
+  std::map<std::string, int> wal_puts, wal_deletes;
+  for (const obs::DcStoreRequest& r :
+       obs::DataCollector::Default()->StoreRequests()) {
+    if (r.trace_id != context.trace_id) continue;
+    if (r.op == "put" && r.key.rfind("data/", 0) == 0) {
+      ++data_puts;
+      EXPECT_EQ(node_set.count(r.node), 1u) << r.key << " billed to '"
+                                            << r.node << "'";
+      continue;
+    }
+    for (const std::string& node : names) {
+      if (r.key.rfind("wal/" + node + "/", 0) != 0) continue;
+      EXPECT_EQ(r.node, node) << r.op << " " << r.key;
+      if (r.op == "put") wal_puts[node]++;
+      if (r.op == "delete") wal_deletes[node]++;
+    }
+  }
+  EXPECT_EQ(data_puts, 4);  // Two shard containers x two column files.
+  for (const std::string& node : {"node1", "node2"}) {
+    EXPECT_GE(wal_puts[node], 2) << node;     // Flush marker + checkpoint.
+    EXPECT_GE(wal_deletes[node], 6) << node;  // Every insert's part.
+  }
+
+  // Truncation has its own spans, one per writing node.
+  int truncations = 0;
+  for (const obs::SpanData& span : tracer->FinishedSpans()) {
+    if (span.name != "wal_truncate") continue;
+    ++truncations;
+    EXPECT_GE(std::stoi(Attr(span, "parts_listed")), 7);
+    EXPECT_GE(std::stoi(Attr(span, "parts_deleted")), 7);
+    EXPECT_GE(std::stoi(Attr(span, "lanes")), 2);
+    EXPECT_TRUE(span.node == "node1" || span.node == "node2") << span.node;
+  }
+  EXPECT_EQ(truncations, 2);
 }
 
 // --- Concurrency: producers vs dc_trace_spans readers (TSan target) -------

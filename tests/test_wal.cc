@@ -1,13 +1,17 @@
 // WAL unit tests: CRC framing, torn-tail recovery (truncation at every
 // byte boundary of the last record), group commit under concurrent
-// writers, segment rotation, truncation/checkpointing, LSN resume.
+// writers, segment rotation, truncation/checkpointing (inline and fanned
+// out on an I/O pool: one LIST per truncation, DELETEs in flight at once),
+// LSN resume.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "common/clock.h"
+#include "common/io_pool.h"
 #include "storage/sim_object_store.h"
 #include "wal/wal.h"
 
@@ -229,9 +233,28 @@ TEST_F(WalTest, SegmentRotationKeepsAllRecords) {
   EXPECT_EQ(replay->max_lsn, 20u);
 }
 
-TEST_F(WalTest, TruncateDropsPartsAndCheckpoints) {
-  WalOptions options;
-  options.group_commit_micros = 0;
+/// Truncation runs inline (no pool) or fanned out on a 4-thread I/O pool;
+/// both must leave the same log behind.
+class WalTruncateTest : public WalTest,
+                        public ::testing::WithParamInterface<int> {
+ protected:
+  WalOptions Options() {
+    if (GetParam() > 0) {
+      IoPool::Options popts;
+      popts.num_threads = GetParam();
+      pool_ = std::make_unique<IoPool>(popts);
+    }
+    WalOptions options;
+    options.group_commit_micros = 0;
+    options.io_pool = pool_.get();
+    return options;
+  }
+
+  std::unique_ptr<IoPool> pool_;
+};
+
+TEST_P(WalTruncateTest, TruncateDropsPartsAndCheckpoints) {
+  WalOptions options = Options();
   auto wal = MakeWriter(options);
   for (int i = 0; i < 10; ++i) {
     const uint64_t lsn =
@@ -260,9 +283,8 @@ TEST_F(WalTest, TruncateDropsPartsAndCheckpoints) {
   EXPECT_EQ(replay->records.front().lsn, 12u);
 }
 
-TEST_F(WalTest, TruncatePrunesStaleCheckpointMarkers) {
-  WalOptions options;
-  options.group_commit_micros = 0;
+TEST_P(WalTruncateTest, TruncatePrunesStaleCheckpointMarkers) {
+  WalOptions options = Options();
   auto wal = MakeWriter(options);
   for (int i = 0; i < 6; ++i) {
     const uint64_t lsn =
@@ -282,6 +304,80 @@ TEST_F(WalTest, TruncatePrunesStaleCheckpointMarkers) {
   ASSERT_TRUE(replay.ok());
   EXPECT_EQ(replay->checkpoint_lsn, 6u);
   EXPECT_TRUE(replay->records.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(IoThreads, WalTruncateTest, ::testing::Values(0, 4));
+
+/// Test-local store decorator: counts LISTs and holds every DELETE for a
+/// few milliseconds of real time, recording how many were in flight
+/// at once.
+class SleepyDeleteStore : public ObjectStore {
+ public:
+  Status Put(const std::string& key, const std::string& data) override {
+    return base_.Put(key, data);
+  }
+  Result<std::string> Get(const std::string& key) override {
+    return base_.Get(key);
+  }
+  Result<std::string> ReadRange(const std::string& key, uint64_t offset,
+                                uint64_t len) override {
+    return base_.ReadRange(key, offset, len);
+  }
+  Result<std::vector<ObjectMeta>> List(const std::string& prefix) override {
+    lists_.fetch_add(1);
+    return base_.List(prefix);
+  }
+  Status Delete(const std::string& key) override {
+    const int now = in_flight_.fetch_add(1) + 1;
+    int peak = peak_in_flight_.load();
+    while (now > peak && !peak_in_flight_.compare_exchange_weak(peak, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    in_flight_.fetch_sub(1);
+    return base_.Delete(key);
+  }
+  ObjectStoreMetrics metrics() const override { return base_.metrics(); }
+
+  int lists() const { return lists_.load(); }
+  int peak_in_flight() const { return peak_in_flight_.load(); }
+
+ private:
+  MemObjectStore base_;
+  std::atomic<int> lists_{0};
+  std::atomic<int> in_flight_{0};
+  std::atomic<int> peak_in_flight_{0};
+};
+
+TEST(WalTruncateFanOut, OneListPerTruncateAndDeletesOverlap) {
+  SleepyDeleteStore store;
+  SimClock clock;
+  IoPool::Options popts;
+  popts.num_threads = 4;
+  IoPool pool(popts);
+  WalOptions options;
+  options.group_commit_micros = 0;
+  options.io_pool = &pool;
+  WalWriter wal(&store, "wal/n1/", &clock, options, nullptr);
+  for (int i = 0; i < 24; ++i) {
+    const uint64_t lsn =
+        wal.Append(Rec(WalRecord::Kind::kInsert, "r" + std::to_string(i)));
+    ASSERT_TRUE(wal.Commit(lsn).ok());  // One part per record.
+  }
+  ASSERT_TRUE(wal.Truncate(8).ok());
+  EXPECT_EQ(store.lists(), 1);
+  ASSERT_TRUE(wal.Truncate(20).ok());  // Also prunes the marker at 8.
+  EXPECT_EQ(store.lists(), 2);
+  EXPECT_EQ(wal.stats().parts_deleted, 20u);
+  EXPECT_GE(store.peak_in_flight(), 2);
+
+  auto ckpts = store.List("wal/n1/ckpt/");
+  ASSERT_TRUE(ckpts.ok());
+  EXPECT_EQ(ckpts->size(), 1u);
+  auto replay = ReadWal(&store, "wal/n1/");
+  ASSERT_TRUE(replay.ok());
+  EXPECT_EQ(replay->checkpoint_lsn, 20u);
+  ASSERT_EQ(replay->records.size(), 4u);
+  EXPECT_EQ(replay->records.front().lsn, 21u);
 }
 
 TEST_F(WalTest, CloseDropsPendingAndReopenRecovers) {
@@ -315,6 +411,28 @@ TEST_F(WalTest, CloseDropsPendingAndReopenRecovers) {
   replay = ReadWal(store_.get(), "wal/n1/");
   ASSERT_TRUE(replay.ok());
   EXPECT_EQ(replay->records.back().payload, "again");
+}
+
+// A record dropped by Close (appended while closed, or still buffered at
+// the close) must fail its Commit after a Reopen instead of spinning: the
+// restart path takes the writer's mutex next (SetNextLsn), so an inserter
+// racing a node restart used to livelock it.
+TEST_F(WalTest, CommitAfterReopenOfDroppedRecordFails) {
+  WalOptions options;
+  options.group_commit_micros = 0;
+  auto wal = MakeWriter(options);
+  const uint64_t buffered = wal->Append(Rec(WalRecord::Kind::kInsert, "a"));
+  wal->Close();
+  const uint64_t burned = wal->Append(Rec(WalRecord::Kind::kInsert, "b"));
+  wal->Reopen();
+  EXPECT_TRUE(wal->Commit(buffered).status().IsUnavailable());
+  EXPECT_TRUE(wal->Commit(burned).status().IsUnavailable());
+  EXPECT_TRUE(applied_.empty());
+
+  // The reopened writer still commits new records.
+  const uint64_t fresh = wal->Append(Rec(WalRecord::Kind::kInsert, "c"));
+  ASSERT_TRUE(wal->Commit(fresh).ok());
+  EXPECT_EQ(applied_, std::vector<uint64_t>{fresh});
 }
 
 TEST_F(WalTest, RestartResumesLsnPastCheckpointAfterFullTruncation) {

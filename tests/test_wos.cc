@@ -2,11 +2,15 @@
 // union scans vs the flush-then-query oracle (bit-identical across
 // thread widths), DELETE/UPDATE over WOS-resident rows,
 // moveout (threshold, TupleMover sweep, shared-WAL truncation safety),
-// crash recovery via WAL replay, and the SQL/session INSERT surface.
+// rollback of the parallel upload at every failing PUT, crash recovery
+// via WAL replay, and the SQL/session INSERT surface.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <mutex>
 #include <thread>
 
 #include "cluster/cluster.h"
@@ -22,22 +26,77 @@
 namespace eon {
 namespace {
 
+/// Test-local store decorator: fails the k-th PUT of a `data/` key
+/// (1-based; 0 = never) and records every `data/` key it was asked to PUT
+/// since the last Arm. Everything else passes straight through.
+class FailNthDataPut : public ObjectStore {
+ public:
+  explicit FailNthDataPut(ObjectStore* base) : base_(base) {}
+
+  void Arm(int k) {
+    std::lock_guard<std::mutex> lock(mu_);
+    fail_at_ = k;
+    seen_ = 0;
+    attempted_.clear();
+  }
+  std::vector<std::string> attempted() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return attempted_;
+  }
+
+  Status Put(const std::string& key, const std::string& data) override {
+    if (key.rfind("data/", 0) == 0) {
+      std::lock_guard<std::mutex> lock(mu_);
+      attempted_.push_back(key);
+      if (++seen_ == fail_at_) return Status::IOError("injected PUT failure");
+    }
+    return base_->Put(key, data);
+  }
+  Result<std::string> Get(const std::string& key) override {
+    return base_->Get(key);
+  }
+  Result<std::string> ReadRange(const std::string& key, uint64_t offset,
+                                uint64_t len) override {
+    return base_->ReadRange(key, offset, len);
+  }
+  Result<std::vector<ObjectMeta>> List(const std::string& prefix) override {
+    return base_->List(prefix);
+  }
+  Status Delete(const std::string& key) override { return base_->Delete(key); }
+  ObjectStoreMetrics metrics() const override { return base_->metrics(); }
+
+ private:
+  ObjectStore* const base_;
+  mutable std::mutex mu_;
+  int fail_at_ = 0;
+  int seen_ = 0;
+  std::vector<std::string> attempted_;
+};
+
 /// One self-contained cluster (clock + store + nodes) so tests can stand
-/// up several side by side (WOS on vs off, width 1 vs 4).
+/// up several side by side (WOS on vs off, width 1 vs 4). With `faulty`
+/// set the cluster talks to the store through a FailNthDataPut.
 struct Bundle {
   SimClock clock;
   std::unique_ptr<SimObjectStore> store;
+  std::unique_ptr<FailNthDataPut> faulty;
   std::unique_ptr<EonCluster> cluster;
 };
 
 std::unique_ptr<Bundle> MakeCluster(int exec_threads, int wos,
-                                    int64_t flush_rows = int64_t{1} << 40) {
+                                    int64_t flush_rows = int64_t{1} << 40,
+                                    bool faulty = false) {
   auto b = std::make_unique<Bundle>();
   SimStoreOptions sopts;
   sopts.get_latency_micros = 0;
   sopts.put_latency_micros = 0;
   sopts.list_latency_micros = 0;
   b->store = std::make_unique<SimObjectStore>(sopts, &b->clock);
+  ObjectStore* shared = b->store.get();
+  if (faulty) {
+    b->faulty = std::make_unique<FailNthDataPut>(shared);
+    shared = b->faulty.get();
+  }
 
   ClusterOptions copts;
   copts.num_shards = 2;
@@ -50,7 +109,7 @@ std::unique_ptr<Bundle> MakeCluster(int exec_threads, int wos,
   for (int i = 1; i <= 3; ++i) {
     specs.push_back(NodeSpec{"n" + std::to_string(i), ""});
   }
-  auto cluster = EonCluster::Create(b->store.get(), &b->clock, copts, specs);
+  auto cluster = EonCluster::Create(shared, &b->clock, copts, specs);
   EXPECT_TRUE(cluster.ok()) << cluster.status().ToString();
   if (!cluster.ok()) return nullptr;
   b->cluster = std::move(cluster).value();
@@ -129,6 +188,35 @@ uint64_t TotalUnflushed(EonCluster* cluster) {
 
 size_t ContainerCount(EonCluster* cluster) {
   return cluster->AnyUpNode()->catalog()->snapshot()->containers.size();
+}
+
+std::vector<std::string> DataKeys(ObjectStore* store) {
+  std::vector<std::string> keys;
+  auto listed = store->List("data/");
+  EXPECT_TRUE(listed.ok());
+  if (listed.ok()) {
+    for (const ObjectMeta& m : *listed) keys.push_back(m.key);
+  }
+  return keys;
+}
+
+/// Sorted ids of a full scan: equal to the expected ids iff every row is
+/// read exactly once.
+std::vector<int64_t> ScannedIds(EonCluster* cluster) {
+  std::vector<int64_t> ids;
+  auto r = RunQuery(cluster, FullScan());
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (r.ok()) {
+    for (const Row& row : r->rows) ids.push_back(row[0].int_value());
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+std::vector<int64_t> IdRange(int64_t n) {
+  std::vector<int64_t> ids(n);
+  for (int64_t i = 0; i < n; ++i) ids[i] = i;
+  return ids;
 }
 
 TEST(WosTest, InsertVisibleBeforeMoveout) {
@@ -616,6 +704,77 @@ TEST(WosTest, MoveoutUnderConcurrentQueriesStaysConsistent) {
   auto final = RunQuery(b->cluster.get(), AggQuery());
   ASSERT_TRUE(final.ok());
   EXPECT_EQ(final->rows[0][1].int_value(), kBatches * kBatchRows);
+}
+
+// Rollback of the parallel upload: for every k, the k-th data PUT of a
+// multi-container COPY and of a moveout fails. Rollback runs after every
+// upload lane returned, so each failure point must leave no `data/`
+// object behind, the catalog version unchanged, no cache holding a
+// rolled-back key, and (moveout) the WOS rows unflushed and read once.
+TEST(WosTest, ParallelUploadRollsBackAtEveryFailingPut) {
+  auto b = MakeCluster(/*exec_threads=*/1, /*wos=*/1, int64_t{1} << 40,
+                       /*faulty=*/true);
+  ASSERT_NE(b, nullptr);
+  EonCluster* cluster = b->cluster.get();
+  auto catalog_version = [&] {
+    return cluster->AnyUpNode()->catalog()->version();
+  };
+  auto check_rolled_back = [&](const std::vector<std::string>& keys_before,
+                               uint64_t version_before, int k) {
+    EXPECT_EQ(DataKeys(b->store.get()), keys_before) << "k=" << k;
+    EXPECT_EQ(catalog_version(), version_before) << "k=" << k;
+    for (const std::string& key : b->faulty->attempted()) {
+      for (const auto& n : cluster->nodes()) {
+        EXPECT_FALSE(n->cache()->TryGetResident(key).ok())
+            << n->name() << " still caches " << key << " (k=" << k << ")";
+      }
+    }
+  };
+
+  // Failure-free COPY first: measures how many data PUTs one load makes.
+  b->faulty->Arm(0);
+  ASSERT_TRUE(CopyInto(cluster, "t", MakeRows(0, 20)).ok());
+  const int copy_puts = static_cast<int>(b->faulty->attempted().size());
+  ASSERT_GE(copy_puts, 4);  // Two shards x two column files.
+  int copy_points = 0;
+  for (int k = 1; k <= copy_puts; ++k) {
+    const std::vector<std::string> keys_before = DataKeys(b->store.get());
+    const uint64_t version_before = catalog_version();
+    b->faulty->Arm(k);
+    EXPECT_FALSE(CopyInto(cluster, "t", MakeRows(100, 20)).ok()) << k;
+    EXPECT_EQ(static_cast<int>(b->faulty->attempted().size()), copy_puts)
+        << "every lane runs to the end before rollback (k=" << k << ")";
+    check_rolled_back(keys_before, version_before, k);
+    EXPECT_EQ(ScannedIds(cluster), IdRange(20)) << k;
+    ++copy_points;
+  }
+
+  // WOS rows waiting for a moveout that fails at every data PUT.
+  b->faulty->Arm(0);
+  ASSERT_TRUE(InsertInto(cluster, "t", MakeRows(20, 15)).ok());
+  ASSERT_TRUE(InsertInto(cluster, "t", MakeRows(35, 15)).ok());
+  ASSERT_EQ(TotalUnflushed(cluster), 30u);
+  int moveout_points = 0;
+  for (int k = 1;; ++k) {
+    const std::vector<std::string> keys_before = DataKeys(b->store.get());
+    const uint64_t version_before = catalog_version();
+    b->faulty->Arm(k);
+    auto moved = MoveoutWos(cluster, "t");
+    if (moved.ok()) {
+      // k is past the last data PUT: the moveout went through.
+      EXPECT_EQ(static_cast<int>(b->faulty->attempted().size()), k - 1);
+      break;
+    }
+    check_rolled_back(keys_before, version_before, k);
+    EXPECT_EQ(TotalUnflushed(cluster), 30u) << k;
+    EXPECT_EQ(ScannedIds(cluster), IdRange(50)) << k;
+    ++moveout_points;
+  }
+  EXPECT_GE(moveout_points, 4);
+  EXPECT_EQ(TotalUnflushed(cluster), 0u);
+  EXPECT_EQ(ScannedIds(cluster), IdRange(50));
+  std::printf("failure points tried: copy=%d moveout=%d\n", copy_points,
+              moveout_points);
 }
 
 }  // namespace
