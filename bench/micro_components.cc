@@ -97,11 +97,9 @@ void BM_RosScan(benchmark::State& state) {
   for (int64_t i = 0; i < 20000; ++i) {
     rows.push_back(Row{Value::Int(i), Value::Dbl(i * 0.5)});
   }
-  auto built = RosContainerWriter::Build(schema, rows, "data/bm", {});
+  auto built = RosContainerWriter::Build(schema, rows);
   MemObjectStore store;
-  for (const RosColumnFile& f : built->files) {
-    EON_CHECK(store.Put(f.key, f.data).ok());
-  }
+  EON_CHECK(store.Put("data/bm", built->data).ok());
   DirectFetcher fetcher(&store);
   RosScanOptions scan;
   scan.output_columns = {0, 1};

@@ -109,7 +109,6 @@ struct ScanRun {
   int64_t wall_micros = 0;
   uint64_t rows_output = 0;
   uint64_t values_decoded = 0;
-  uint64_t files_skipped = 0;
   uint64_t blocks_pruned = 0;
 };
 
@@ -134,7 +133,6 @@ bool RunScan(const Dataset& d, FileFetcher* fetcher, const PredicatePtr& pred,
     if (r == 0 || wall < out->wall_micros) out->wall_micros = wall;
     out->rows_output = st.rows_output;
     out->values_decoded = st.values_decoded;
-    out->files_skipped = st.files_skipped;
     out->blocks_pruned = st.blocks_pruned;
   }
   return true;
@@ -167,15 +165,13 @@ int main() {
     RosWriteOptions wopts;
     wopts.rows_per_block = kRowsPerBlock;
     auto built =
-        RosContainerWriter::Build(d.schema, d.rows, "bench/" + name, wopts);
+        RosContainerWriter::Build(d.schema, d.rows, wopts);
     if (!built.ok()) {
       fprintf(stderr, "build failed: %s\n", built.status().ToString().c_str());
       return 1;
     }
     MemObjectStore store;
-    for (const RosColumnFile& f : built->files) {
-      if (!store.Put(f.key, f.data).ok()) return 1;
-    }
+    if (!store.Put("bench/" + name, built->data).ok()) return 1;
     DirectFetcher fetcher(&store);
 
     for (double sel : kSelectivities) {
@@ -219,8 +215,6 @@ int main() {
             JsonValue::Int(static_cast<int64_t>(run.values_decoded)));
       e.Set("full_decode_values",
             JsonValue::Int(static_cast<int64_t>(full_decode)));
-      e.Set("files_skipped",
-            JsonValue::Int(static_cast<int64_t>(run.files_skipped)));
       e.Set("values_decoded_ratio", JsonValue::Double(dec_ratio));
       cases.Append(std::move(e));
     }

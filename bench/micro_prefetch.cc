@@ -4,7 +4,7 @@
 // Runs on a WALL clock with a 1 ms simulated store GET latency (the
 // SimObjectStore sleeps), so overlap is directly visible: at depth 0 a
 // serial scan pays one GET per morsel back to back, while with read-ahead
-// the I/O pool fetches the next morsels' column files during the current
+// the I/O pool fetches the next morsels' containers during the current
 // morsel's compute. exec_threads is pinned to 1 — the measurement
 // isolates fetch/compute overlap, not morsel parallelism (that is
 // micro_parallel_scan's job).
@@ -77,7 +77,7 @@ std::unique_ptr<WallFixture> MakeFixture(int io_threads, int depth,
 
   // Load in batches; lineitem is date-partitioned, so each batch commits
   // one container per (shard, partition) — thousands of small containers,
-  // i.e. thousands of morsels each fetching one column file (one GET).
+  // i.e. thousands of morsels each fetching one container object (one GET).
   CopyOptions opts;
   opts.rows_per_block = 512;
   const std::vector<Row>& rows = data.lineitems;
@@ -119,7 +119,7 @@ int main() {
   topts.scale = kScale;
   const TpchData data = GenerateTpch(topts);
 
-  // One column, no predicate: each morsel fetches exactly one column file,
+  // One column, no predicate: each morsel fetches its container object,
   // so the scan's store traffic is one 2 ms GET per container.
   QuerySpec query;
   query.scan.table = "lineitem";
@@ -248,9 +248,9 @@ int main() {
   out.Set("results", std::move(arr));
 
   // Pushdown interaction: a morsel the planner pushes into the object
-  // store never materializes column files locally, so read-ahead for it is
-  // pure waste — the executor must not issue ANY prefetch for pushed
-  // morsels. Forced pushdown + a predicate pushes every morsel: a cold
+  // store never materializes container objects locally, so read-ahead
+  // for it is pure waste — the executor must not issue ANY prefetch for
+  // pushed morsels. Forced pushdown + a predicate pushes every morsel: a cold
   // scan must report zero prefetches issued at depth 4.
   uint64_t pushed_issued = 0, pushed_containers = 0;
   {

@@ -465,10 +465,7 @@ Status EonCluster::UnsubscribeNode(Oid node_oid, ShardId shard) {
   {
     auto s = target->catalog()->snapshot();
     for (const auto& [oid, c] : s->containers) {
-      if (c.shard != shard) continue;
-      for (uint64_t col = 0; col < c.num_columns; ++col) {
-        cached_keys.push_back(c.base_key + "_c" + std::to_string(col));
-      }
+      if (c.shard == shard) cached_keys.push_back(c.base_key);
     }
     for (const auto& [oid, d] : s->delete_vectors) {
       if (d.shard == shard) cached_keys.push_back(d.key);
@@ -677,16 +674,19 @@ Status EonCluster::RecoverDestroyedNode(Oid node_oid, bool warm_cache) {
   target->ReplaceCatalog(std::move(rebuilt));
   target->MarkUp();
   target->SetIncarnation(incarnation_);
-  // Instance loss wiped local disk, not the shared-storage WAL: replay
-  // restores committed-but-unflushed WOS rows.
-  EON_RETURN_IF_ERROR(target->RecoverWos());
-
-  for (ShardId shard : target->SubscribedShards(
-           {SubscriptionState::kActive, SubscriptionState::kPassive,
-            SubscriptionState::kPending, SubscriptionState::kRemoving})) {
-    EON_RETURN_IF_ERROR(TransferShardMetadata(target, shard));
-  }
-  Status s = ResubscribeNode(target, warm_cache);
+  // Any failure past MarkUp takes the node back down: a half-recovered
+  // node must never serve (Section 6.1).
+  Status s = [&]() -> Status {
+    // Instance loss wiped local disk, not the shared-storage WAL: replay
+    // restores committed-but-unflushed WOS rows.
+    EON_RETURN_IF_ERROR(target->RecoverWos());
+    for (ShardId shard : target->SubscribedShards(
+             {SubscriptionState::kActive, SubscriptionState::kPassive,
+              SubscriptionState::kPending, SubscriptionState::kRemoving})) {
+      EON_RETURN_IF_ERROR(TransferShardMetadata(target, shard));
+    }
+    return ResubscribeNode(target, warm_cache);
+  }();
   if (!s.ok()) {
     target->MarkDown();
     return s;
@@ -999,9 +999,7 @@ Result<uint64_t> EonCluster::CleanLeakedFiles() {
   for (auto& n : nodes_) {
     auto snapshot = n->catalog()->snapshot();
     for (const auto& [oid, c] : snapshot->containers) {
-      for (uint64_t col = 0; col < c.num_columns; ++col) {
-        referenced.insert(c.base_key + "_c" + std::to_string(col));
-      }
+      referenced.insert(c.base_key);
     }
     for (const auto& [oid, d] : snapshot->delete_vectors) {
       referenced.insert(d.key);
@@ -1023,7 +1021,7 @@ Result<uint64_t> EonCluster::CleanLeakedFiles() {
                          shared_->List(prefix));
     for (const ObjectMeta& m : objects) {
       if (referenced.count(m.key)) continue;
-      // Key layout: <prefix><48-hex SID>[suffix]; instance id is hex chars
+      // Key layout: <prefix><48-hex SID>; instance id is hex chars
       // [2, 32) of the SID.
       const std::string sid_part = m.key.substr(prefix.size());
       if (sid_part.size() >= 32 &&

@@ -70,7 +70,7 @@ struct ScanObjectResponse {
   uint64_t rows_visited = 0;
   /// Rows surviving the predicate + deletes (== rows.size() in row mode).
   uint64_t rows_output = 0;
-  /// Bytes of column files the store read locally to answer the scan.
+  /// Bytes of container objects the store read locally to answer the scan.
   uint64_t bytes_scanned = 0;
   /// Estimated wire size of the response payload (rows or partials).
   uint64_t response_bytes = 0;

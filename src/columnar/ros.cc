@@ -20,6 +20,42 @@ namespace eon {
 namespace {
 
 constexpr uint32_t kColumnFileMagic = 0xEC01F11E;
+constexpr uint32_t kContainerMagic = 0xEC0C0B1E;
+/// fixed64 footer length + fixed32 magic, ending a section or the object.
+constexpr uint64_t kTrailerBytes = 12;
+
+/// Locate the checksummed footer that ends the `size` bytes at `data`:
+/// the last kTrailerBytes are a fixed64 footer length (its fixed32 CRC32C
+/// included) and `magic`. On success `*footer` holds the verified footer
+/// without its CRC and `*footer_begin` its offset — the end of the data
+/// the footer indexes.
+Status ReadTrailer(const char* data, uint64_t size, uint32_t magic,
+                   const char* what, Slice* footer, uint64_t* footer_begin) {
+  if (size < kTrailerBytes) {
+    return Status::Corruption(std::string(what) + " too short");
+  }
+  Slice tail(data + size - kTrailerBytes, kTrailerBytes);
+  uint64_t footer_len;
+  uint32_t stored_magic;
+  EON_RETURN_IF_ERROR(GetFixed64(&tail, &footer_len));
+  EON_RETURN_IF_ERROR(GetFixed32(&tail, &stored_magic));
+  if (stored_magic != magic) {
+    return Status::Corruption(std::string(what) + " bad magic");
+  }
+  if (footer_len < 4 || footer_len > size - kTrailerBytes) {
+    return Status::Corruption(std::string(what) + " footer length invalid");
+  }
+  *footer_begin = size - kTrailerBytes - footer_len;
+  const char* start = data + *footer_begin;
+  Slice crc_slice(start + footer_len - 4, 4);
+  uint32_t stored_crc;
+  EON_RETURN_IF_ERROR(GetFixed32(&crc_slice, &stored_crc));
+  if (Crc32c(start, footer_len - 4) != stored_crc) {
+    return Status::Corruption(std::string(what) + " footer checksum mismatch");
+  }
+  *footer = Slice(start, footer_len - 4);
+  return Status::OK();
+}
 
 void UpdateRange(ValueRange* range, const Value& v) {
   if (v.is_null()) {
@@ -131,14 +167,9 @@ Result<std::string> DirectFetcher::Fetch(const std::string& key) {
   return store_->Get(key);
 }
 
-std::string RosContainerWriter::ColumnKey(const std::string& base_key,
-                                          size_t col) {
-  return base_key + "_c" + std::to_string(col);
-}
-
 Result<RosBuildResult> RosContainerWriter::Build(
     const Schema& schema, const std::vector<Row>& rows,
-    const std::string& base_key, const RosWriteOptions& options) {
+    const RosWriteOptions& options) {
   if (options.rows_per_block == 0) {
     return Status::InvalidArgument("rows_per_block must be positive");
   }
@@ -151,10 +182,13 @@ Result<RosBuildResult> RosContainerWriter::Build(
   RosBuildResult result;
   result.row_count = rows.size();
   result.column_ranges.resize(schema.num_columns());
+  std::string& file = result.data;
+  std::string directory;
+  PutVarint64(&directory, schema.num_columns());
 
   for (size_t col = 0; col < schema.num_columns(); ++col) {
     const DataType type = schema.column(col).type;
-    std::string file;
+    const uint64_t section_begin = file.size();
     std::vector<BlockMeta> blocks;
 
     for (uint64_t start = 0; start < rows.size();
@@ -181,7 +215,7 @@ Result<RosBuildResult> RosContainerWriter::Build(
       PutFixed32(&encoded, Crc32c(encoded.data(), encoded.size()));
 
       BlockMeta meta;
-      meta.offset = file.size();
+      meta.offset = file.size() - section_begin;
       meta.length = encoded.size();
       meta.row_count = end - start;
       meta.first_row = start;
@@ -203,56 +237,46 @@ Result<RosBuildResult> RosContainerWriter::Build(
     }
     PutFixed32(&footer, Crc32c(footer.data(), footer.size()));
 
-    const uint64_t footer_len = footer.size();
     file += footer;
-    PutFixed64(&file, footer_len);
+    PutFixed64(&file, footer.size());
     PutFixed32(&file, kColumnFileMagic);
 
-    result.total_bytes += file.size();
-    result.files.push_back(
-        RosColumnFile{ColumnKey(base_key, col), std::move(file)});
+    PutVarint64(&directory, section_begin);
+    PutVarint64(&directory, file.size() - section_begin);
   }
+
+  // Column directory, checksummed, then the container trailer.
+  PutFixed32(&directory, Crc32c(directory.data(), directory.size()));
+  file += directory;
+  PutFixed64(&file, directory.size());
+  PutFixed32(&file, kContainerMagic);
+  result.total_bytes = file.size();
   return result;
 }
 
-Result<ColumnFileReader> ColumnFileReader::Open(std::string file_data,
+Result<ColumnFileReader> ColumnFileReader::Open(FileRef data, uint64_t offset,
+                                                uint64_t length,
                                                 DataType type) {
-  return Open(std::make_shared<const std::string>(std::move(file_data)),
-              type);
-}
-
-Result<ColumnFileReader> ColumnFileReader::Open(FileRef file_data,
-                                                DataType type) {
+  if (offset > data->size() || length > data->size() - offset) {
+    return Status::Corruption("column section outside container object");
+  }
   ColumnFileReader reader;
-  reader.data_ = std::move(file_data);
+  reader.data_ = std::move(data);
+  reader.section_ = reader.data_->data() + offset;
   reader.type_ = type;
-  const std::string& data = *reader.data_;
-  if (data.size() < 12) return Status::Corruption("column file too short");
 
-  Slice tail(data.data() + data.size() - 12, 12);
-  uint64_t footer_len;
-  uint32_t magic;
-  EON_RETURN_IF_ERROR(GetFixed64(&tail, &footer_len));
-  EON_RETURN_IF_ERROR(GetFixed32(&tail, &magic));
-  if (magic != kColumnFileMagic) {
-    return Status::Corruption("column file bad magic");
-  }
-  if (footer_len + 12 > data.size()) {
-    return Status::Corruption("column file footer length invalid");
-  }
-  const char* footer_start = data.data() + data.size() - 12 - footer_len;
-  if (footer_len < 4) return Status::Corruption("footer too short");
-  Slice footer(footer_start, footer_len - 4);
-  Slice crc_slice(footer_start + footer_len - 4, 4);
-  uint32_t stored_crc;
-  EON_RETURN_IF_ERROR(GetFixed32(&crc_slice, &stored_crc));
-  if (Crc32c(footer.data(), footer.size()) != stored_crc) {
-    return Status::Corruption("column file footer checksum mismatch");
-  }
-
+  Slice footer;
+  uint64_t data_end;
+  EON_RETURN_IF_ERROR(ReadTrailer(reader.section_, length, kColumnFileMagic,
+                                  "column section", &footer, &data_end));
   uint64_t num_blocks;
   EON_RETURN_IF_ERROR(GetVarint64(&footer, &num_blocks));
   EON_RETURN_IF_ERROR(GetVarint64(&footer, &reader.row_count_));
+  // Every index entry takes more than one byte, so a count the footer
+  // cannot hold is corrupt (and must not size the reservation).
+  if (num_blocks > footer.size()) {
+    return Status::Corruption("column section block count invalid");
+  }
   reader.blocks_.reserve(num_blocks);
   for (uint64_t i = 0; i < num_blocks; ++i) {
     BlockMeta meta;
@@ -261,7 +285,7 @@ Result<ColumnFileReader> ColumnFileReader::Open(FileRef file_data,
     EON_RETURN_IF_ERROR(GetVarint64(&footer, &meta.row_count));
     EON_RETURN_IF_ERROR(GetVarint64(&footer, &meta.first_row));
     EON_RETURN_IF_ERROR(GetRange(&footer, reader.type_, &meta.range));
-    if (meta.offset + meta.length > data.size() - 12 - footer_len) {
+    if (meta.offset > data_end || meta.length > data_end - meta.offset) {
       return Status::Corruption("block extends past data region");
     }
     reader.blocks_.push_back(std::move(meta));
@@ -273,8 +297,8 @@ Result<ChunkView> ColumnFileReader::BlockChunk(size_t i) const {
   if (i >= blocks_.size()) return Status::OutOfRange("block index");
   const BlockMeta& meta = blocks_[i];
   if (meta.length < 4) return Status::Corruption("block too short");
-  Slice block(data_->data() + meta.offset, meta.length - 4);
-  Slice crc_slice(data_->data() + meta.offset + meta.length - 4, 4);
+  Slice block(section_ + meta.offset, meta.length - 4);
+  Slice crc_slice(section_ + meta.offset + meta.length - 4, 4);
   uint32_t stored_crc;
   EON_RETURN_IF_ERROR(GetFixed32(&crc_slice, &stored_crc));
   if (Crc32c(block.data(), block.size()) != stored_crc) {
@@ -304,37 +328,98 @@ Status ColumnFileReader::DecodeSelected(size_t i, const uint8_t* sel,
 
 namespace {
 
-/// Fetch every column in `cols` as ONE async batch — the store round
-/// trips overlap instead of serializing K first-byte latencies — then
-/// open a reader per file as each fetch completes (completion order is
-/// consumed in ascending column order; a fetch that finished early waits
-/// zero). Blocked wall time lands in st->fetch_wait_micros.
-Status FetchColumnsAsync(const Schema& schema, const std::string& base_key,
-                         FileFetcher* fetcher, const std::set<size_t>& cols,
-                         std::map<size_t, ColumnFileReader>* readers,
-                         RosScanStats* st) {
-  std::vector<std::pair<size_t, PendingFile>> pending;
-  pending.reserve(cols.size());
-  for (size_t col : cols) {
-    pending.emplace_back(col, fetcher->FetchRefAsync(
-                                  RosContainerWriter::ColumnKey(base_key, col)));
+/// Blocks are aligned across the columns of a container by construction;
+/// a reader relies on it whenever one column's block index drives another
+/// column's decode.
+bool SameBlockLayout(const ColumnFileReader& a, const ColumnFileReader& b) {
+  if (a.num_blocks() != b.num_blocks() || a.row_count() != b.row_count()) {
+    return false;
   }
-  for (auto& [col, pf] : pending) {
-    EON_ASSIGN_OR_RETURN(FileRef data,
-                         pf.Wait(st ? &st->fetch_wait_micros : nullptr));
-    if (st != nullptr) {
-      st->files_fetched++;
-      st->bytes_fetched += data->size();
+  for (size_t i = 0; i < a.num_blocks(); ++i) {
+    if (a.block(i).row_count != b.block(i).row_count ||
+        a.block(i).first_row != b.block(i).first_row) {
+      return false;
     }
-    EON_ASSIGN_OR_RETURN(
-        ColumnFileReader reader,
-        ColumnFileReader::Open(std::move(data), schema.column(col).type));
-    readers->emplace(col, std::move(reader));
   }
-  return Status::OK();
+  return true;
 }
 
-/// EncodedBlockSource over one block of the fetched predicate-column
+/// One fetched container object with its column directory parsed. Column
+/// sections are opened on demand and share the object's bytes, which the
+/// FileRef pins (cache-backed fetchers keep the entry resident) for as
+/// long as any reader lives.
+class ContainerObject {
+ public:
+  /// Fetch `base_key` — one whole-object request, or a cache hit — and
+  /// check its directory: magic, CRC, one section per schema column, each
+  /// inside the data region. Blocked wall time lands in
+  /// st->fetch_wait_micros.
+  static Result<ContainerObject> Fetch(const Schema& schema,
+                                       const std::string& base_key,
+                                       FileFetcher* fetcher,
+                                       RosScanStats* st) {
+    ContainerObject obj(schema);
+    EON_ASSIGN_OR_RETURN(obj.data_,
+                         fetcher->FetchRefAsync(base_key).Wait(
+                             st ? &st->fetch_wait_micros : nullptr));
+    if (st != nullptr) {
+      st->files_fetched++;
+      st->bytes_fetched += obj.data_->size();
+    }
+    Slice dir;
+    uint64_t data_end;
+    EON_RETURN_IF_ERROR(ReadTrailer(obj.data_->data(), obj.data_->size(),
+                                    kContainerMagic, "container", &dir,
+                                    &data_end));
+    uint64_t num_columns;
+    EON_RETURN_IF_ERROR(GetVarint64(&dir, &num_columns));
+    if (num_columns != schema.num_columns()) {
+      return Status::Corruption("container column count mismatch");
+    }
+    obj.sections_.resize(num_columns);
+    for (Section& sec : obj.sections_) {
+      EON_RETURN_IF_ERROR(GetVarint64(&dir, &sec.offset));
+      EON_RETURN_IF_ERROR(GetVarint64(&dir, &sec.length));
+      if (sec.offset > data_end || sec.length > data_end - sec.offset) {
+        return Status::Corruption("column section outside data region");
+      }
+    }
+    return obj;
+  }
+
+  /// Open the sections of `cols` into `readers`, each checked against the
+  /// block layout of the readers already there.
+  Status OpenColumns(const std::set<size_t>& cols,
+                     std::map<size_t, ColumnFileReader>* readers) const {
+    for (size_t col : cols) {
+      const Section& sec = sections_[col];
+      EON_ASSIGN_OR_RETURN(ColumnFileReader reader,
+                           ColumnFileReader::Open(data_, sec.offset,
+                                                  sec.length,
+                                                  schema_->column(col).type));
+      if (!readers->empty() &&
+          !SameBlockLayout(readers->begin()->second, reader)) {
+        return Status::Corruption("column sections disagree on block layout");
+      }
+      readers->emplace(col, std::move(reader));
+    }
+    return Status::OK();
+  }
+
+ private:
+  struct Section {
+    uint64_t offset = 0;
+    uint64_t length = 0;
+  };
+
+  explicit ContainerObject(const Schema& schema) : schema_(&schema) {}
+
+  const Schema* schema_;
+  FileRef data_;
+  std::vector<Section> sections_;
+};
+
+/// EncodedBlockSource over one block of the opened predicate-column
 /// readers: comparison leaves evaluate directly on the encoded chunk (per
 /// RLE run / per dictionary entry) when possible, with a lazily decoded,
 /// per-block-cached fallback for plain and delta columns. Decode or CRC
@@ -358,7 +443,7 @@ class BlockPredicateSource : public EncodedBlockSource {
                          uint8_t* sel) override {
     auto it = status_.ok() ? readers_.find(col) : readers_.end();
     if (it == readers_.end()) {
-      // Unfetched column (or latched error): no row matches, the
+      // Unopened column (or latched error): no row matches, the
       // missing-column rule of DecodedColumn.
       std::fill(sel, sel + row_count_, uint8_t{0});
       return true;
@@ -433,66 +518,30 @@ class BlockPredicateSource : public EncodedBlockSource {
   Status status_;
 };
 
-/// Two-phase late-materialization scan. Phase 1 fetches only the predicate
-/// columns (one async batch) and evaluates the predicate per block — on
-/// the encoded representation where the encoding supports it — folding the
-/// row range and tombstones into one selection vector. Phase 2 selectively
-/// decodes the output columns for surviving rows; output-only column files
-/// are fetched lazily AND asynchronously: the fetch is issued at the first
-/// surviving block and overlaps with the remaining phase-1 work, and a
-/// container where nothing survives never fetches them at all.
+/// Two-phase late-materialization scan. Phase 1 opens only the predicate
+/// columns and evaluates the predicate per block — on the encoded
+/// representation where the encoding supports it — folding the row range
+/// and tombstones into one selection vector. Phase 2 selectively decodes
+/// the output columns for the block's surviving rows. Output-only
+/// sections are opened at the first block with survivors, so a container
+/// where nothing survives never parses them.
 Result<std::vector<Row>> ScanLateMaterialized(const Schema& schema,
-                                              const std::string& base_key,
-                                              FileFetcher* fetcher,
+                                              const ContainerObject& container,
                                               const RosScanOptions& options,
                                               const std::set<size_t>& pred_cols,
                                               RosScanStats* st) {
   std::map<size_t, ColumnFileReader> readers;
-  EON_RETURN_IF_ERROR(
-      FetchColumnsAsync(schema, base_key, fetcher, pred_cols, &readers, st));
-
+  EON_RETURN_IF_ERROR(container.OpenColumns(pred_cols, &readers));
   const ColumnFileReader& first = readers.begin()->second;
   const size_t num_blocks = first.num_blocks();
-  for (const auto& [col, r] : readers) {
-    if (r.num_blocks() != num_blocks || r.row_count() != first.row_count()) {
-      return Status::Corruption("column files disagree on block layout");
-    }
-  }
 
-  // Output-only columns (not referenced by the predicate), fetched lazily
-  // on the first block with survivors.
   const std::set<size_t> out_distinct(options.output_columns.begin(),
                                       options.output_columns.end());
   std::set<size_t> out_only;
   for (size_t col : out_distinct) {
     if (pred_cols.count(col) == 0) out_only.insert(col);
   }
-
-  // Phase 1 runs over ALL blocks first, buffering each survivor's
-  // selection (plus any column phase 1 already decoded), so the
-  // output-only fetch issued at the first survivor overlaps with the
-  // remaining predicate work — the scan only Waits once phase 2 begins.
-  struct Survivor {
-    size_t block = 0;
-    uint64_t selected = 0;
-    SelectionVector sel;
-    /// Phase-1 fallback decodes of predicate∩output columns; compacted in
-    /// phase 2 without a second decode.
-    std::map<size_t, ColumnBatch> phase1;
-  };
-  std::vector<Survivor> survivors;
-  std::vector<std::pair<size_t, PendingFile>> out_pending;
-  bool outputs_requested = false;
-  auto request_outputs = [&]() {
-    if (outputs_requested) return;
-    outputs_requested = true;
-    out_pending.reserve(out_only.size());
-    for (size_t col : out_only) {
-      out_pending.emplace_back(
-          col,
-          fetcher->FetchRefAsync(RosContainerWriter::ColumnKey(base_key, col)));
-    }
-  };
+  bool outputs_open = false;
 
   std::vector<Row> out;
   BlockPredicateSource src(readers, st);
@@ -546,63 +595,29 @@ Result<std::vector<Row>> ScanLateMaterialized(const Schema& schema,
       }
     }
     if (selected == 0) continue;
-
-    request_outputs();
-    Survivor sv;
-    sv.block = b;
-    sv.selected = selected;
-    for (size_t col : out_distinct) {
-      if (pred_cols.count(col) == 0) continue;
-      ColumnBatch vals;
-      if (src.TakeDecoded(col, &vals)) sv.phase1.emplace(col, std::move(vals));
+    if (!outputs_open) {
+      EON_RETURN_IF_ERROR(container.OpenColumns(out_only, &readers));
+      outputs_open = true;
     }
-    sv.sel = std::move(sel);
-    survivors.push_back(std::move(sv));
-  }
-  if (!outputs_requested) {
-    st->files_skipped += out_only.size();
-    return out;
-  }
 
-  // Wait for the output-only files — much of their store latency has
-  // already been hidden behind the phase-1 work above — and verify they
-  // agree with the predicate columns on the block layout.
-  for (auto& [col, pf] : out_pending) {
-    EON_ASSIGN_OR_RETURN(FileRef data, pf.Wait(&st->fetch_wait_micros));
-    st->files_fetched++;
-    st->bytes_fetched += data->size();
-    EON_ASSIGN_OR_RETURN(
-        ColumnFileReader reader,
-        ColumnFileReader::Open(std::move(data), schema.column(col).type));
-    if (reader.num_blocks() != num_blocks ||
-        reader.row_count() != first.row_count()) {
-      return Status::Corruption("column files disagree on block layout");
-    }
-    readers.emplace(col, std::move(reader));
-  }
-
-  // Phase 2, in block order (byte-identical to the fused single-pass
-  // loop): selectively decode each distinct output column. All share the
-  // block's selection vector, so the k-th entry of every dense vector
-  // belongs to the k-th surviving row.
-  for (Survivor& sv : survivors) {
-    const BlockMeta& bm = first.block(sv.block);
+    // Phase 2: selectively decode each distinct output column. All share
+    // the block's selection vector, so the k-th entry of every dense
+    // vector belongs to the k-th surviving row. A predicate∩output column
+    // phase 1 already decoded whole is compacted, not decoded again.
     std::map<size_t, std::vector<Value>> dense;
     for (size_t col : out_distinct) {
       std::vector<Value> vals;
-      vals.reserve(sv.selected);
-      auto p1 = sv.phase1.find(col);
-      if (p1 != sv.phase1.end()) {
-        const ColumnBatch& full = p1->second;
+      vals.reserve(selected);
+      ColumnBatch full;
+      if (src.TakeDecoded(col, &full)) {
         for (uint64_t i = 0; i < bm.row_count; ++i) {
-          if (sv.sel[i]) vals.push_back(full.GetValue(i));
+          if (sel[i]) vals.push_back(full.GetValue(i));
         }
       } else {
         EON_RETURN_IF_ERROR(readers.at(col).DecodeSelected(
-            sv.block, sv.sel.data(), &vals, &st->values_decoded,
-            &st->values_unpacked));
+            b, sel.data(), &vals, &st->values_decoded, &st->values_unpacked));
       }
-      if (vals.size() != sv.selected) {
+      if (vals.size() != selected) {
         return Status::Corruption("selective decode count mismatch");
       }
       dense.emplace(col, std::move(vals));
@@ -613,7 +628,7 @@ Result<std::vector<Row>> ScanLateMaterialized(const Schema& schema,
     for (size_t col : options.output_columns) {
       out_cols.push_back(&dense.at(col));
     }
-    for (uint64_t k = 0; k < sv.selected; ++k) {
+    for (uint64_t k = 0; k < selected; ++k) {
       Row out_row;
       out_row.reserve(out_cols.size());
       for (const std::vector<Value>* values : out_cols) {
@@ -648,7 +663,7 @@ Result<std::vector<Row>> ScanRosContainer(const Schema& schema,
     }
   }
 
-  // Columns we must fetch: outputs plus predicate inputs.
+  // Columns we must read: outputs plus predicate inputs.
   std::set<size_t> needed(options.output_columns.begin(),
                           options.output_columns.end());
   needed.insert(pred_cols.begin(), pred_cols.end());
@@ -658,30 +673,20 @@ Result<std::vector<Row>> ScanRosContainer(const Schema& schema,
     }
   }
 
-  if (!pred_cols.empty()) {
-    return ScanLateMaterialized(schema, base_key, fetcher, options, pred_cols,
-                                st);
-  }
-
-  // No predicate column: decode and emit every output column. Fetch (one
-  // async batch) and open each column file. The refs pin cache-backed
-  // files resident (and share their bytes) for the readers' lifetime.
-  std::map<size_t, ColumnFileReader> readers;
-  EON_RETURN_IF_ERROR(
-      FetchColumnsAsync(schema, base_key, fetcher, needed, &readers, st));
-
   std::vector<Row> out;
   if (needed.empty()) return out;  // Degenerate: no columns requested.
+  EON_ASSIGN_OR_RETURN(ContainerObject container,
+                       ContainerObject::Fetch(schema, base_key, fetcher, st));
+  if (!pred_cols.empty()) {
+    return ScanLateMaterialized(schema, container, options, pred_cols, st);
+  }
+
+  // No predicate column: decode and emit every output column.
+  std::map<size_t, ColumnFileReader> readers;
+  EON_RETURN_IF_ERROR(container.OpenColumns(needed, &readers));
 
   const ColumnFileReader& first = readers.begin()->second;
   const size_t num_blocks = first.num_blocks();
-  // Blocks are aligned across columns by construction; verify.
-  for (const auto& [col, r] : readers) {
-    if (r.num_blocks() != num_blocks || r.row_count() != first.row_count()) {
-      return Status::Corruption("column files disagree on block layout");
-    }
-  }
-
   for (size_t b = 0; b < num_blocks; ++b) {
     const BlockMeta& bm = first.block(b);
     st->blocks_total++;
@@ -745,7 +750,7 @@ Result<std::vector<uint64_t>> FindMatchingPositions(
   std::set<size_t> needed;
   if (predicate) predicate->CollectColumns(&needed);
   if (needed.empty()) {
-    // Match-all: positions derive from any column's footer; fetch column 0.
+    // Match-all: positions derive from any column's footer; open column 0.
     needed.insert(0);
   }
 
@@ -754,9 +759,11 @@ Result<std::vector<uint64_t>> FindMatchingPositions(
       return Status::InvalidArgument("column index out of range");
     }
   }
+  EON_ASSIGN_OR_RETURN(
+      ContainerObject container,
+      ContainerObject::Fetch(schema, base_key, fetcher, /*st=*/nullptr));
   std::map<size_t, ColumnFileReader> readers;
-  EON_RETURN_IF_ERROR(FetchColumnsAsync(schema, base_key, fetcher, needed,
-                                        &readers, /*st=*/nullptr));
+  EON_RETURN_IF_ERROR(container.OpenColumns(needed, &readers));
 
   std::vector<uint64_t> positions;
   const ColumnFileReader& first = readers.begin()->second;

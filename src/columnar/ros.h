@@ -14,11 +14,6 @@
 
 namespace eon {
 
-/// Abstraction through which the scan layer obtains whole column files.
-/// In Eon mode the implementation is the node's file cache backed by shared
-/// storage; in Enterprise mode it is the node's private disk; in tests it
-/// is the object store directly. Caching whole files matches the paper's
-/// disk cache of entire data files (Section 5.2).
 /// Shared, immutable contents of one fetched file. Holding a FileRef
 /// keeps the bytes alive regardless of what the cache does (eviction,
 /// Drop), so a scan can never observe dangling data.
@@ -58,6 +53,11 @@ class PendingFile {
   std::shared_ptr<State> state_;
 };
 
+/// Abstraction through which the scan layer obtains whole data files.
+/// In Eon mode the implementation is the node's file cache backed by shared
+/// storage; in Enterprise mode it is the node's private disk; in tests it
+/// is the object store directly. Caching whole files matches the paper's
+/// disk cache of entire data files (Section 5.2).
 class FileFetcher {
  public:
   virtual ~FileFetcher() = default;
@@ -88,59 +88,67 @@ class DirectFetcher : public FileFetcher {
   ObjectStore* store_;
 };
 
-/// Per-block metadata kept in each column file's footer: position index
+/// Per-block metadata kept in each column section's footer: position index
 /// entry plus min/max used by the execution engine to skip blocks
 /// (paper Section 2.3).
 struct BlockMeta {
-  uint64_t offset = 0;       ///< Byte offset of the block in the file.
+  uint64_t offset = 0;       ///< Byte offset of the block in its section.
   uint64_t length = 0;       ///< Byte length including trailing checksum.
   uint64_t row_count = 0;
   uint64_t first_row = 0;    ///< Container-relative position of first row.
   ValueRange range;
 };
 
-/// One column file of a ROS container, ready to be Put to storage.
-struct RosColumnFile {
-  std::string key;
-  std::string data;
-};
-
-/// Everything produced when writing a ROS container: the immutable column
-/// files plus the stats that go into the catalog's storage metadata.
+/// Everything produced when writing a ROS container: the one immutable
+/// object to Put under the container's base key, plus the stats that go
+/// into the catalog's storage metadata.
 struct RosBuildResult {
-  std::vector<RosColumnFile> files;       ///< One per schema column.
+  std::string data;                       ///< The container object.
   std::vector<ValueRange> column_ranges;  ///< Container-level min/max.
   uint64_t row_count = 0;
-  uint64_t total_bytes = 0;
+  uint64_t total_bytes = 0;               ///< data.size().
 };
 
 struct RosWriteOptions {
   uint64_t rows_per_block = 4096;
 };
 
-/// Serializes sorted rows into per-column immutable files. Vertica writes
-/// actual column data followed by a footer with a position index (Section
-/// 2.3); files are never modified once written.
+/// Serializes sorted rows into one immutable container object. Vertica
+/// writes actual column data followed by a footer with a position index
+/// (Section 2.3); objects are never modified once written.
+///
+/// Object layout: one section per schema column, back to back, then a
+/// column directory.
+///
+///   section k    blocks (encoded chunk + fixed32 CRC32C each), footer
+///                (block index + per-block min/max + fixed32 CRC32C),
+///                fixed64 footer length, fixed32 column magic
+///   directory    varint column count, then varint (offset, length) of
+///                each section, then fixed32 CRC32C of those bytes
+///   trailer      fixed64 directory length (CRC included), fixed32
+///                container magic
+///
+/// A reader fetches the whole object once and opens only the sections of
+/// the columns it needs.
 class RosContainerWriter {
  public:
   /// `rows` must already be sorted by the projection sort order; the writer
   /// does not re-sort (sorting belongs to the load pipeline / mergeout).
   static Result<RosBuildResult> Build(const Schema& schema,
                                       const std::vector<Row>& rows,
-                                      const std::string& base_key,
                                       const RosWriteOptions& options = {});
-
-  /// Storage key of column `col` of the container named `base_key`.
-  static std::string ColumnKey(const std::string& base_key, size_t col);
 };
 
-/// Parses one column file: footer, block index, and on-demand block decode.
+/// Parses one column section of a container object: footer, block index,
+/// and on-demand block decode. Every column of a container shares the
+/// object's one FileRef.
 class ColumnFileReader {
  public:
-  static Result<ColumnFileReader> Open(std::string file_data, DataType type);
-  /// Zero-copy open over shared file bytes (e.g. straight out of the file
-  /// cache); the reader keeps the ref alive for its own lifetime.
-  static Result<ColumnFileReader> Open(FileRef file_data, DataType type);
+  /// Open the section at [offset, offset + length) of `data`; the reader
+  /// keeps the ref alive for its own lifetime. Every offset is checked
+  /// against the section, so malformed bytes return Corruption.
+  static Result<ColumnFileReader> Open(FileRef data, uint64_t offset,
+                                       uint64_t length, DataType type);
 
   size_t num_blocks() const { return blocks_.size(); }
   const BlockMeta& block(size_t i) const { return blocks_[i]; }
@@ -175,6 +183,7 @@ class ColumnFileReader {
   ColumnFileReader() = default;
 
   FileRef data_;
+  const char* section_ = nullptr;  ///< First byte of the section in data_.
   DataType type_ = DataType::kInt64;
   std::vector<BlockMeta> blocks_;
   uint64_t row_count_ = 0;
@@ -190,7 +199,7 @@ struct RosScanOptions {
   /// Optional tombstones for this container.
   const DeleteVector* deletes = nullptr;
   /// Container-relative row range [row_begin, row_end): used by
-  /// container-split crunch scaling (Section 4.4). Default = whole file.
+  /// container-split crunch scaling (Section 4.4). Default = whole container.
   uint64_t row_begin = 0;
   uint64_t row_end = UINT64_MAX;
   /// Optional precomputed Predicate::CollectColumns result, so per-morsel
@@ -201,7 +210,7 @@ struct RosScanOptions {
 
 /// Observability for tests, the cost model, and the pruning benches.
 struct RosScanStats {
-  uint64_t files_fetched = 0;
+  uint64_t files_fetched = 0;  ///< Container objects fetched.
   uint64_t bytes_fetched = 0;
   uint64_t blocks_total = 0;
   uint64_t blocks_pruned = 0;
@@ -211,9 +220,6 @@ struct RosScanStats {
   /// value when a block is decoded whole, one per RLE run / dictionary
   /// entry on the encoded path plus one per materialized survivor.
   uint64_t values_decoded = 0;
-  /// Output-only column files never fetched because no row in the
-  /// container survived the predicate phase.
-  uint64_t files_skipped = 0;
   /// Wall micros the scan spent blocked in PendingFile::Wait — the I/O
   /// stall the prefetch pipeline exists to hide (0 when every fetch
   /// completed before the scan needed it).
@@ -232,23 +238,22 @@ struct RosScanStats {
     rows_visited += o.rows_visited;
     rows_output += o.rows_output;
     values_decoded += o.values_decoded;
-    files_skipped += o.files_skipped;
     fetch_wait_micros += o.fetch_wait_micros;
     values_unpacked += o.values_unpacked;
     kernel_calls += o.kernel_calls;
   }
 };
 
-/// Scan a ROS container: fetches only the needed column files (true column
-/// store — columns are physically separate), prunes blocks by min/max,
-/// applies the predicate and delete vector, and returns rows containing
-/// exactly `output_columns` in order. A predicate that reads columns runs
-/// the two-phase late-materialized scan: phase 1 fetches and evaluates
-/// only the predicate columns (on the encoded representation where the
-/// encoding supports it), phase 2 selectively decodes the output columns
-/// for surviving rows, and a container where nothing survives never
-/// fetches its output-only column files. Without one, every output
-/// column is decoded and emitted.
+/// Scan a ROS container: fetches its one object, opens only the sections
+/// of the needed columns, prunes blocks by min/max, applies the predicate
+/// and delete vector, and returns rows containing exactly
+/// `output_columns` in order. A predicate that reads columns runs the
+/// two-phase late-materialized scan: phase 1 evaluates only the predicate
+/// columns (on the encoded representation where the encoding supports
+/// it), phase 2 selectively decodes the output columns for surviving
+/// rows, and a container where nothing survives never opens its
+/// output-only sections. Without one, every output column is decoded and
+/// emitted.
 Result<std::vector<Row>> ScanRosContainer(const Schema& schema,
                                           const std::string& base_key,
                                           FileFetcher* fetcher,

@@ -121,8 +121,11 @@ uint32_t SegmentationHashCombine(uint32_t a, uint32_t b) {
 
 namespace {
 
+/// Slicing-by-8 tables: t[0] is the classic bytewise table, and t[k][b]
+/// is the CRC contribution of byte b followed by k zero bytes, so eight
+/// input bytes fold in with eight independent lookups per step.
 struct Crc32cTable {
-  uint32_t t[256];
+  uint32_t t[8][256];
   Crc32cTable() {
     constexpr uint32_t kPoly = 0x82F63B78u;  // Castagnoli, reflected.
     for (uint32_t i = 0; i < 256; ++i) {
@@ -130,7 +133,12 @@ struct Crc32cTable {
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? (kPoly ^ (c >> 1)) : (c >> 1);
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (int k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+      }
     }
   }
 };
@@ -144,10 +152,19 @@ const Crc32cTable& GetCrcTable() {
 
 uint32_t Crc32c(const void* data, size_t len, uint32_t init) {
   const Crc32cTable& table = GetCrcTable();
+  const auto& t = table.t;
   const uint8_t* p = static_cast<const uint8_t*>(data);
   uint32_t c = init ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    c = table.t[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  // Eight bytes per step. The low word is assembled byte by byte, so the
+  // result does not depend on host endianness or alignment.
+  for (; len >= 8; p += 8, len -= 8) {
+    c ^= static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+    c = t[7][c & 0xFF] ^ t[6][(c >> 8) & 0xFF] ^ t[5][(c >> 16) & 0xFF] ^
+        t[4][c >> 24] ^ t[3][p[4]] ^ t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+  }
+  for (; len > 0; ++p, --len) {
+    c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -33,8 +33,9 @@ uint32_t SegmentationHashInt(int64_t v);
 /// Combine two segmentation hashes (multi-column segmentation clauses).
 uint32_t SegmentationHashCombine(uint32_t a, uint32_t b);
 
-/// CRC32 (Castagnoli polynomial, software implementation). Used as the
-/// block/file checksum in the ROS container format.
+/// CRC32 (Castagnoli polynomial, portable slicing-by-8). Used as the
+/// block/footer checksum in the ROS container format. `init` chains: the
+/// CRC of a||b is Crc32c(b, len_b, Crc32c(a, len_a)).
 uint32_t Crc32c(const void* data, size_t len, uint32_t init = 0);
 
 inline uint32_t Crc32c(const Slice& s, uint32_t init = 0) {

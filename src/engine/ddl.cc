@@ -252,18 +252,6 @@ Result<Oid> CopyTable(EonCluster* cluster, const std::string& source,
   return dst.oid;
 }
 
-namespace {
-
-/// File keys a container's data occupies.
-void CollectContainerKeys(const StorageContainerMeta& c,
-                          std::vector<std::string>* keys) {
-  for (uint64_t col = 0; col < c.num_columns; ++col) {
-    keys->push_back(c.base_key + "_c" + std::to_string(col));
-  }
-}
-
-}  // namespace
-
 Status DropTable(EonCluster* cluster, const std::string& table) {
   Node* coord = cluster->AnyUpNode();
   if (coord == nullptr) return Status::Unavailable("no up nodes");
@@ -297,7 +285,7 @@ Status DropTable(EonCluster* cluster, const std::string& table) {
       for (const StorageContainerMeta* c : snapshot->ContainersOf(proj->oid)) {
         txn.DropContainer(c->oid, c->shard);
         doomed_containers.insert(c->oid);
-        CollectContainerKeys(*c, &dropped_keys);
+        dropped_keys.push_back(c->base_key);
         for (const DeleteVectorMeta* dv : snapshot->DeleteVectorsOf(c->oid)) {
           txn.DropDeleteVector(dv->oid, dv->shard);
           dropped_keys.push_back(dv->key);
@@ -311,10 +299,7 @@ Status DropTable(EonCluster* cluster, const std::string& table) {
   // reference counting across tables).
   std::set<std::string> still_referenced;
   for (const auto& [oid, c] : snapshot->containers) {
-    if (doomed_containers.count(oid)) continue;
-    std::vector<std::string> keys;
-    CollectContainerKeys(c, &keys);
-    still_referenced.insert(keys.begin(), keys.end());
+    if (!doomed_containers.count(oid)) still_referenced.insert(c.base_key);
   }
   for (const auto& [oid, dv] : snapshot->delete_vectors) {
     if (!doomed_containers.count(dv.container_oid)) {

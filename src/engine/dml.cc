@@ -534,10 +534,11 @@ Result<uint64_t> LoadIntoTablesFiltered(
   CatalogTxn txn;
   std::map<ShardId, std::set<Oid>> observed_subscribers;
 
-  // Every column file of the load, built and write-through cached on its
-  // writer, waiting for the one upload fan-out below.
+  // Every container object of the load, built and write-through cached on
+  // its writer, waiting for the one upload fan-out below.
   struct StagedFile {
-    RosColumnFile file;
+    std::string key;
+    std::string data;
     Node* writer = nullptr;
     ShardId shard = 0;
   };
@@ -551,12 +552,12 @@ Result<uint64_t> LoadIntoTablesFiltered(
   auto rollback = [&](bool uploads_ran) {
     if (uploads_ran) {
       ParallelFor(io_pool, staged.size(), [&](size_t i) {
-        cluster->shared_storage()->Delete(staged[i].file.key);  // Best effort.
+        cluster->shared_storage()->Delete(staged[i].key);  // Best effort.
         return Status::OK();
       });
     }
     for (const StagedFile& f : staged) {
-      for (const auto& n : cluster->nodes()) n->cache()->Drop(f.file.key);
+      for (const auto& n : cluster->nodes()) n->cache()->Drop(f.key);
     }
   };
 
@@ -608,21 +609,20 @@ Result<uint64_t> LoadIntoTablesFiltered(
       RosWriteOptions wopts;
       wopts.rows_per_block = options.rows_per_block;
       Result<RosBuildResult> built =
-          RosContainerWriter::Build(proj_schema, group.rows, base_key, wopts);
+          RosContainerWriter::Build(proj_schema, group.rows, wopts);
       if (!built.ok()) {
         rollback(/*uploads_ran=*/false);
         return built.status();
       }
 
-      for (RosColumnFile& file : built->files) {
-        staged.push_back(StagedFile{std::move(file), writer, group.shard});
-        if (options.write_through_cache) {
-          const RosColumnFile& f = staged.back().file;
-          Status s = writer->cache()->Insert(f.key, f.data);
-          if (!s.ok()) {
-            rollback(/*uploads_ran=*/false);
-            return s;
-          }
+      staged.push_back(
+          StagedFile{base_key, std::move(built->data), writer, group.shard});
+      if (options.write_through_cache) {
+        const StagedFile& f = staged.back();
+        Status s = writer->cache()->Insert(f.key, f.data);
+        if (!s.ok()) {
+          rollback(/*uploads_ran=*/false);
+          return s;
         }
       }
 
@@ -642,24 +642,25 @@ Result<uint64_t> LoadIntoTablesFiltered(
   }
   }
 
-  // Upload every staged file at once: the load costs a few store round
-  // trips, not one per file. Each PUT is billed to its writing node.
+  // Upload every staged container at once: the load costs a few store
+  // round trips, not one per container. Each PUT is billed to its writing
+  // node.
   Status uploaded = ParallelFor(io_pool, staged.size(), [&](size_t i) {
     obs::DcNodeScope dc_scope(staged[i].writer->name());
-    return cluster->shared_storage()->Put(staged[i].file.key,
-                                          staged[i].file.data);
+    return cluster->shared_storage()->Put(staged[i].key, staged[i].data);
   });
   if (!uploaded.ok()) {
     rollback(/*uploads_ran=*/true);
     return uploaded;
   }
-  // Durable: push the files to the caches of the shard's peer subscribers.
+  // Durable: push the objects to the caches of the shard's peer
+  // subscribers.
   if (options.write_through_cache) {
     for (const StagedFile& f : staged) {
       for (Oid sub : observed_subscribers[f.shard]) {
         Node* peer = cluster->node(sub);
         if (peer == nullptr || peer == f.writer || !peer->is_up()) continue;
-        peer->cache()->Insert(f.file.key, f.file.data);
+        peer->cache()->Insert(f.key, f.data);
       }
     }
   }

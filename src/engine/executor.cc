@@ -438,17 +438,10 @@ Result<ScanOutput> ScanDistributed(EonCluster* cluster,
   };
 
   // Per-morsel pushdown inputs that do not depend on the container: the
-  // needed column set (scan + predicate, deduplicated), the estimated
-  // wire size of one output row (fixed-width values ship as ~9 bytes of
-  // tag + payload, strings as ~24), and the predicate selectivity prior.
+  // estimated wire size of one output row (fixed-width values ship as ~9
+  // bytes of tag + payload, strings as ~24), and the predicate
+  // selectivity prior.
   const int pushdown_mode = cluster->pushdown_mode();
-  std::vector<size_t> needed_cols = scan_cols;
-  for (size_t c : pred_proj_cols) {
-    if (std::find(needed_cols.begin(), needed_cols.end(), c) ==
-        needed_cols.end()) {
-      needed_cols.push_back(c);
-    }
-  }
   uint64_t est_row_bytes = 0;
   for (size_t pos : out_proj_cols) {
     est_row_bytes +=
@@ -486,24 +479,19 @@ Result<ScanOutput> ScanDistributed(EonCluster* cluster,
         m.rank = rank;
         if (pushdown_mode > 0) {
           // Cost-based near-data decision, per morsel: estimate what a
-          // LOCAL scan would fetch cold (needed column files not resident
-          // in this node's cache) against what a PUSHED scan would return
-          // (selectivity prior x rows x row wire size, or flat partials
-          // for an aggregate push, plus a per-request surcharge).
+          // LOCAL scan would fetch cold (the whole container object unless
+          // it is resident in this node's cache) against what a PUSHED
+          // scan would return (selectivity prior x rows x row wire size,
+          // or flat partials for an aggregate push, plus a per-request
+          // surcharge).
           PushdownDecision d;
           d.mode = pushdown_mode;
           d.has_predicate = pred != nullptr;
           d.has_aggregates = agg_push_ok;
           d.selectivity = selectivity;
           d.selectivity_cutoff = cluster->pushdown_selectivity_cutoff();
-          const uint64_t file_bytes =
-              container->total_bytes /
-              std::max<uint64_t>(1, container->num_columns);
-          for (size_t col : needed_cols) {
-            if (!executor->cache()->Contains(RosContainerWriter::ColumnKey(
-                    container->base_key, col))) {
-              d.cold_bytes += file_bytes;
-            }
+          if (!executor->cache()->Contains(container->base_key)) {
+            d.cold_bytes = container->total_bytes;
           }
           uint64_t range_rows = container->row_count;
           if (k > 1 && context.crunch == CrunchMode::kContainerSplit) {
@@ -545,18 +533,12 @@ Result<ScanOutput> ScanDistributed(EonCluster* cluster,
     }
   }
 
-  // Read-ahead pipeline: before scanning morsel i, the column files of
-  // morsels i+1..i+depth are queued on the I/O pool into their executing
-  // node's cache, so this morsel's compute overlaps the next morsels'
-  // object-store latency. Phase-1 (predicate) columns are what the scan
-  // touches first — under late materialization the scan itself async-
-  // fetches output columns once survivors are known — so those are the
-  // read-ahead set; a predicate-less scan reads every output column up
-  // front and prefetches the same.
+  // Read-ahead pipeline: before scanning morsel i, the container objects
+  // of morsels i+1..i+depth are queued on the I/O pool into their
+  // executing node's cache, so this morsel's compute overlaps the next
+  // morsels' object-store latency.
   const size_t prefetch_depth =
       static_cast<size_t>(std::max(0, cluster->prefetch_depth()));
-  const std::vector<size_t>& prefetch_cols =
-      pred_proj_cols.empty() ? scan_cols : pred_proj_cols;
   // High-water mark: consecutive windows overlap (morsel i and i+1 both
   // cover i+2..), so without it every morsel would be requested `depth`
   // times — redundant resident-checks that add up over thousands of tiny
@@ -588,22 +570,11 @@ Result<ScanOutput> ScanDistributed(EonCluster* cluster,
     for (size_t j = begin; j < end; ++j) {
       const Morsel& next = morsels[j];
       // Pushed morsels never read through the cache: prefetching their
-      // column files would fetch the very bytes the push exists to avoid.
+      // containers would fetch the very bytes the push exists to avoid.
       // WOS morsels have no files at all.
       if (next.push || next.container == nullptr) continue;
-      // Per-file size estimate for the admission window; the catalog does
-      // not track per-column sizes.
-      const uint64_t hint =
-          next.container->total_bytes /
-          std::max<uint64_t>(1, next.container->num_columns);
-      std::vector<PrefetchRequest> reqs;
-      reqs.reserve(prefetch_cols.size());
-      for (size_t col : prefetch_cols) {
-        reqs.push_back(PrefetchRequest{
-            RosContainerWriter::ColumnKey(next.container->base_key, col),
-            hint});
-      }
-      missing += next.executor->cache()->PrefetchAsync(reqs);
+      missing += next.executor->cache()->PrefetchAsync({PrefetchRequest{
+          next.container->base_key, next.container->total_bytes}});
     }
     if (missing == 0) {
       prefetch_warm_streak.fetch_add(1, std::memory_order_relaxed);
@@ -1827,7 +1798,6 @@ Result<QueryResult> ExecuteQuery(EonCluster* cluster,
   profile.network_bytes = stats.network_bytes;
   profile.rows_shuffled = stats.rows_shuffled;
   profile.exec_values_decoded = stats.scan.values_decoded;
-  profile.exec_files_skipped = stats.scan.files_skipped;
   profile.exec_fetch_wait_micros = stats.scan.fetch_wait_micros;
   profile.exec_values_unpacked = stats.scan.values_unpacked;
   profile.exec_kernel_calls = stats.scan.kernel_calls;

@@ -126,8 +126,6 @@ JsonValue QueryProfile::ToJson() const {
   exec.Set("parallelism", JsonValue::Double(Parallelism()));
   exec.Set("values_decoded",
            JsonValue::Int(static_cast<int64_t>(exec_values_decoded)));
-  exec.Set("files_skipped",
-           JsonValue::Int(static_cast<int64_t>(exec_files_skipped)));
   exec.Set("fetch_wait_micros", JsonValue::Int(exec_fetch_wait_micros));
   exec.Set("values_unpacked",
            JsonValue::Int(static_cast<int64_t>(exec_values_unpacked)));
@@ -242,9 +240,8 @@ std::string QueryProfile::ToText() const {
            static_cast<double>(exec_critical_cpu_micros) / 1000.0);
   out += buf;
   snprintf(buf, sizeof(buf),
-           " decode: %llu values decoded, %llu column files skipped\n",
-           static_cast<unsigned long long>(exec_values_decoded),
-           static_cast<unsigned long long>(exec_files_skipped));
+           " decode: %llu values decoded\n",
+           static_cast<unsigned long long>(exec_values_decoded));
   out += buf;
   snprintf(buf, sizeof(buf),
            " kernels: %llu calls (%s), %llu values unpacked\n",

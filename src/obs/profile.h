@@ -98,12 +98,10 @@ struct QueryProfile {
   /// Busiest lane's CPU: the parallel phases' critical path. Equals
   /// exec_task_cpu_micros when exec_threads == 1.
   int64_t exec_critical_cpu_micros = 0;
-  /// Late-materialization decode counters (RosScanStats rollup): values
-  /// parsed or materialized during scans, and output-only column files the
-  /// two-phase scan never had to fetch.
+  /// Late-materialization decode counter (RosScanStats rollup): values
+  /// parsed or materialized during scans.
   uint64_t exec_values_decoded = 0;
-  uint64_t exec_files_skipped = 0;
-  /// Time scan lanes spent blocked on async column-file fetches
+  /// Time scan lanes spent blocked on async container fetches
   /// (RosScanStats::fetch_wait_micros rollup): the part of the store
   /// latency the prefetch pipeline did NOT manage to hide.
   int64_t exec_fetch_wait_micros = 0;

@@ -87,8 +87,8 @@ class ObjectStore {
   virtual Status Delete(const std::string& key) = 0;
 
   /// Near-data scan (S3-Select-shaped): evaluate a predicate — and
-  /// optionally fold partial aggregates — against one ROS container's
-  /// column files WHERE THEY LIVE, returning only survivors. Backends that
+  /// optionally fold partial aggregates — against one ROS container
+  /// object WHERE IT LIVES, returning only survivors. Backends that
   /// can compute next to the data override this; the default refuses with
   /// NotSupported and callers fall back to fetching whole files.
   virtual Status ScanObject(const ScanObjectRequest& request,

@@ -166,24 +166,21 @@ Status TupleMover::RunJob(Node* executor, const ProjectionDef& proj,
   wopts.rows_per_block = options_.rows_per_block;
   EON_ASSIGN_OR_RETURN(
       RosBuildResult built,
-      RosContainerWriter::Build(proj_schema, merged, base_key, wopts));
+      RosContainerWriter::Build(proj_schema, merged, wopts));
 
   // Output goes into the cache and up to shared storage (Section 5.2).
   const std::set<SubscriptionState> receiving = {SubscriptionState::kActive,
                                                  SubscriptionState::kPassive};
-  for (const RosColumnFile& file : built.files) {
-    EON_RETURN_IF_ERROR(executor->cache()->Insert(file.key, file.data));
-    {
-      // Attribute the mergeout upload's request cost to the executor.
-      obs::DcNodeScope dc_scope(executor->name());
-      EON_RETURN_IF_ERROR(
-          cluster_->shared_storage()->Put(file.key, file.data));
-    }
-    for (Oid sub : snapshot->SubscribersOf(shard, receiving)) {
-      Node* peer = cluster_->node(sub);
-      if (peer != nullptr && peer->is_up() && peer != executor) {
-        peer->cache()->Insert(file.key, file.data);
-      }
+  EON_RETURN_IF_ERROR(executor->cache()->Insert(base_key, built.data));
+  {
+    // Attribute the mergeout upload's request cost to the executor.
+    obs::DcNodeScope dc_scope(executor->name());
+    EON_RETURN_IF_ERROR(cluster_->shared_storage()->Put(base_key, built.data));
+  }
+  for (Oid sub : snapshot->SubscribersOf(shard, receiving)) {
+    Node* peer = cluster_->node(sub);
+    if (peer != nullptr && peer->is_up() && peer != executor) {
+      peer->cache()->Insert(base_key, built.data);
     }
   }
 
@@ -205,9 +202,7 @@ Status TupleMover::RunJob(Node* executor, const ProjectionDef& proj,
   // transaction; the files go to the reaper.
   for (const StorageContainerMeta& input : inputs) {
     txn->DropContainer(input.oid, input.shard);
-    for (uint64_t c = 0; c < input.num_columns; ++c) {
-      dropped_keys->push_back(input.base_key + "_c" + std::to_string(c));
-    }
+    dropped_keys->push_back(input.base_key);
     for (const DeleteVectorMeta* dv : snapshot->DeleteVectorsOf(input.oid)) {
       txn->DropDeleteVector(dv->oid, dv->shard);
       dropped_keys->push_back(dv->key);

@@ -1,6 +1,8 @@
 // Unit tests for cluster operations: subscription state machine,
 // distributed commit invariants, failure/recovery, file reaping, revive.
 
+#include <atomic>
+
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
@@ -207,6 +209,92 @@ TEST_F(ClusterTest, InstanceLossRebuildsFromPeer) {
   EXPECT_EQ(CountT(), 500);
 }
 
+/// Test-local store decorator: while armed, every LIST under `prefix`
+/// fails. Everything else passes straight through.
+class FailListUnder : public ObjectStore {
+ public:
+  FailListUnder(ObjectStore* base, std::string prefix)
+      : base_(base), prefix_(std::move(prefix)) {}
+
+  void set_armed(bool armed) { armed_ = armed; }
+
+  Status Put(const std::string& key, const std::string& data) override {
+    return base_->Put(key, data);
+  }
+  Result<std::string> Get(const std::string& key) override {
+    return base_->Get(key);
+  }
+  Result<std::string> ReadRange(const std::string& key, uint64_t offset,
+                                uint64_t len) override {
+    return base_->ReadRange(key, offset, len);
+  }
+  Result<std::vector<ObjectMeta>> List(const std::string& prefix) override {
+    if (armed_ && prefix.rfind(prefix_, 0) == 0) {
+      return Status::IOError("injected LIST failure");
+    }
+    return base_->List(prefix);
+  }
+  Status Delete(const std::string& key) override { return base_->Delete(key); }
+  ObjectStoreMetrics metrics() const override { return base_->metrics(); }
+
+ private:
+  ObjectStore* const base_;
+  const std::string prefix_;
+  std::atomic<bool> armed_{false};
+};
+
+// A recovery that fails after the node was marked up (here: the WAL LIST
+// of its WOS replay) must leave it DOWN, not half-recovered and serving;
+// the rest of the cluster keeps answering, and a later retry succeeds.
+TEST(ClusterRecoveryTest, FailedInstanceRecoveryLeavesNodeDown) {
+  SimClock clock;
+  SimStoreOptions sopts;
+  sopts.get_latency_micros = 0;
+  sopts.put_latency_micros = 0;
+  sopts.list_latency_micros = 0;
+  sopts.delete_latency_micros = 0;
+  SimObjectStore store(sopts, &clock);
+  FailListUnder faulty(&store, "wal/node2/");
+  ClusterOptions copts;
+  copts.num_shards = 3;
+  copts.k_safety = 2;
+  std::vector<NodeSpec> specs;
+  for (int i = 1; i <= 4; ++i) {
+    specs.push_back(NodeSpec{"node" + std::to_string(i), ""});
+  }
+  auto created = EonCluster::Create(&faulty, &clock, copts, specs);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<EonCluster> cluster = std::move(created).value();
+  ASSERT_TRUE(CreateTable(cluster.get(), "t",
+                          Schema({{"id", DataType::kInt64}}), std::nullopt,
+                          {ProjectionSpec{"t_super", {}, {"id"}, {"id"}}})
+                  .ok());
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 300; ++i) rows.push_back(Row{Value::Int(i)});
+  ASSERT_TRUE(CopyInto(cluster.get(), "t", rows).ok());
+  auto count = [&]() -> int64_t {
+    EonSession session(cluster.get());
+    QuerySpec q;
+    q.scan.table = "t";
+    q.scan.columns = {"id"};
+    q.aggregates = {{AggFn::kCount, "", "n"}};
+    auto r = session.Execute(q);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r->rows[0][0].int_value() : -1;
+  };
+
+  ASSERT_TRUE(cluster->DestroyNodeInstance(2).ok());
+  faulty.set_armed(true);
+  EXPECT_FALSE(cluster->RecoverDestroyedNode(2).ok());
+  EXPECT_FALSE(cluster->node(2)->is_up());
+  EXPECT_EQ(count(), 300);
+
+  faulty.set_armed(false);
+  ASSERT_TRUE(cluster->RecoverDestroyedNode(2).ok());
+  EXPECT_TRUE(cluster->node(2)->is_up());
+  EXPECT_EQ(count(), 300);
+}
+
 TEST_F(ClusterTest, ViabilityShutdownOnQuorumLoss) {
   EXPECT_TRUE(cluster_->IsViable());
   ASSERT_TRUE(cluster_->KillNode(1).ok());
@@ -228,14 +316,11 @@ TEST_F(ClusterTest, NewInstanceIdAfterRestart) {
 
 TEST_F(ClusterTest, ReaperWaitsForQueriesAndTruncation) {
   LoadSomething();
-  // Collect the table's file keys, then drop them via a fake commit.
+  // Collect the table's container keys (one object per container), then
+  // drop them via a fake commit.
   auto snapshot = cluster_->node(1)->catalog()->snapshot();
   std::vector<std::string> keys;
-  for (const auto& [oid, c] : snapshot->containers) {
-    for (uint64_t col = 0; col < c.num_columns; ++col) {
-      keys.push_back(c.base_key + "_c" + std::to_string(col));
-    }
-  }
+  for (const auto& [oid, c] : snapshot->containers) keys.push_back(c.base_key);
   ASSERT_FALSE(keys.empty());
   const uint64_t drop_version = cluster_->node(1)->catalog()->version();
 
@@ -286,11 +371,14 @@ TEST_F(ClusterTest, LeakedFileCleanup) {
   EXPECT_EQ(*cleaned, 1u);
   EXPECT_FALSE(*store_->Exists(leaked_key));
   EXPECT_TRUE(*store_->Exists(inflight_key));
-  // Referenced table data untouched.
+  // Referenced table data untouched: every container's one object.
   auto snapshot = cluster_->node(1)->catalog()->snapshot();
   for (const auto& [oid, c] : snapshot->containers) {
-    EXPECT_TRUE(*store_->Exists(c.base_key + "_c0"));
+    EXPECT_TRUE(*store_->Exists(c.base_key));
   }
+  auto data = store_->List("data/");
+  ASSERT_TRUE(data.ok());
+  EXPECT_EQ(data->size(), snapshot->containers.size() + 1);  // + in flight.
 }
 
 TEST_F(ClusterTest, RebalanceAfterClusterGrowth) {

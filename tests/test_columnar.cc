@@ -8,6 +8,8 @@
 #include "columnar/ros.h"
 #include "columnar/sort.h"
 #include "columnar/value_codec.h"
+#include "common/codec.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "storage/object_store.h"
 
@@ -193,13 +195,11 @@ TEST(EncodingTest, WriterFallsBackToPlainWhenSampleMissesNull) {
   for (const Value& v : values) rows.push_back(Row{v});
   RosWriteOptions opts;
   opts.rows_per_block = values.size();
-  auto built = RosContainerWriter::Build(schema, rows, "data/fallback", opts);
+  auto built = RosContainerWriter::Build(schema, rows, opts);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
 
   MemObjectStore store;
-  for (const RosColumnFile& f : built->files) {
-    ASSERT_TRUE(store.Put(f.key, f.data).ok());
-  }
+  ASSERT_TRUE(store.Put("data/fallback", built->data).ok());
   DirectFetcher fetcher(&store);
   RosScanOptions scan;
   scan.output_columns = {0};
@@ -723,12 +723,10 @@ class RosTest : public ::testing::Test {
   void WriteContainer(const std::vector<Row>& rows, uint64_t rows_per_block) {
     RosWriteOptions opts;
     opts.rows_per_block = rows_per_block;
-    auto built = RosContainerWriter::Build(schema_, rows, "data/test", opts);
+    auto built = RosContainerWriter::Build(schema_, rows, opts);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     build_ = std::move(built).value();
-    for (const RosColumnFile& f : build_.files) {
-      ASSERT_TRUE(store_.Put(f.key, f.data).ok());
-    }
+    ASSERT_TRUE(store_.Put("data/test", build_.data).ok());
   }
 
   Schema schema_;
@@ -741,7 +739,12 @@ TEST_F(RosTest, RoundTripAllColumns) {
   std::vector<Row> rows = MakeRows(1000);
   WriteContainer(rows, 128);
   EXPECT_EQ(build_.row_count, 1000u);
-  EXPECT_EQ(build_.files.size(), 3u);
+  EXPECT_EQ(build_.total_bytes, build_.data.size());
+  // One object per container: nothing but the base key is stored.
+  auto listed = store_.List("data/");
+  ASSERT_TRUE(listed.ok());
+  ASSERT_EQ(listed->size(), 1u);
+  EXPECT_EQ((*listed)[0].key, "data/test");
 
   RosScanOptions scan;
   scan.output_columns = {0, 1, 2};
@@ -754,14 +757,18 @@ TEST_F(RosTest, RoundTripAllColumns) {
   }
 }
 
-TEST_F(RosTest, ColumnStoreFetchesOnlyNeededColumns) {
+TEST_F(RosTest, ColumnStoreDecodesOnlyNeededColumns) {
   WriteContainer(MakeRows(500), 100);
   RosScanOptions scan;
   scan.output_columns = {1};  // Only "price".
   RosScanStats stats;
   auto out = ScanRosContainer(schema_, "data/test", &fetcher_, scan, &stats);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(stats.files_fetched, 1u);  // True column store (Section 2.3).
+  // One whole-object fetch per container; only the price section is
+  // decoded (true column store, Section 2.3).
+  EXPECT_EQ(stats.files_fetched, 1u);
+  EXPECT_EQ(stats.bytes_fetched, build_.total_bytes);
+  EXPECT_EQ(stats.values_decoded, 500u);
 }
 
 TEST_F(RosTest, BlockPruningViaMinMax) {
@@ -809,17 +816,131 @@ TEST_F(RosTest, ContainerRangesCoverData) {
   EXPECT_EQ(build_.column_ranges[0].max.int_value(), 99);
 }
 
-TEST_F(RosTest, CorruptedBlockDetected) {
-  WriteContainer(MakeRows(100), 50);
-  // Flip a byte inside the first column object's data region.
-  std::string data = *store_.Get("data/test_c0");
-  data[10] ^= 0x01;
-  ASSERT_TRUE(store_.Delete("data/test_c0").ok());
-  ASSERT_TRUE(store_.Put("data/test_c0", data).ok());
+// Every single-bit flip and every truncation of a container object must
+// surface as Corruption, from a scan that decodes every column and from
+// the DELETE path's position search over every column: never OK, never an
+// out-of-bounds read. The bytes come from shared storage, outside the
+// program.
+TEST_F(RosTest, EveryBitFlipAndTruncationIsCorruption) {
+  WriteContainer(MakeRows(20), 10);  // 3 columns x 2 blocks.
+  const std::string good = build_.data;
   RosScanOptions scan;
-  scan.output_columns = {0};
-  auto out = ScanRosContainer(schema_, "data/test", &fetcher_, scan);
-  EXPECT_TRUE(out.status().IsCorruption());
+  scan.output_columns = {0, 1, 2};
+  // Reads every column and admits every block's min/max.
+  const PredicatePtr all_columns = Predicate::Or(
+      Predicate::Or(Predicate::Cmp(0, CmpOp::kGe, Value::Int(0)),
+                    Predicate::Cmp(1, CmpOp::kGe, Value::Dbl(0.0))),
+      Predicate::Cmp(2, CmpOp::kGe, Value::Str("")));
+
+  size_t cases = 0;
+  size_t failures = 0;
+  auto expect_corruption = [&](const std::string& bad,
+                               const std::string& what) {
+    ++cases;
+    MemObjectStore store;
+    ASSERT_TRUE(store.Put("data/bad", bad).ok());
+    DirectFetcher fetcher(&store);
+    auto rows = ScanRosContainer(schema_, "data/bad", &fetcher, scan);
+    auto positions =
+        FindMatchingPositions(schema_, "data/bad", &fetcher, all_columns);
+    if (!rows.status().IsCorruption() || !positions.status().IsCorruption()) {
+      if (++failures <= 10) {
+        ADD_FAILURE() << what << ": scan " << rows.status().ToString()
+                      << ", positions " << positions.status().ToString();
+      }
+    }
+  };
+
+  // The intact object reads back whole.
+  {
+    auto rows = ScanRosContainer(schema_, "data/test", &fetcher_, scan);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(rows->size(), 20u);
+    auto positions =
+        FindMatchingPositions(schema_, "data/test", &fetcher_, all_columns);
+    ASSERT_TRUE(positions.ok()) << positions.status().ToString();
+    EXPECT_EQ(positions->size(), 20u);
+  }
+  for (size_t i = 0; i < good.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string bad = good;
+      bad[i] = static_cast<char>(bad[i] ^ (1 << bit));
+      expect_corruption(bad, "flip byte " + std::to_string(i) + " bit " +
+                                 std::to_string(bit));
+    }
+  }
+  for (size_t len = 0; len < good.size(); ++len) {
+    expect_corruption(good.substr(0, len),
+                      "truncate to " + std::to_string(len));
+  }
+  EXPECT_EQ(failures, 0u);
+  printf("corruption cases tried: %zu (%zu-byte object)\n", cases,
+         good.size());
+}
+
+// Directories whose checksum is intact but whose contents do not fit the
+// object or the schema: a single bit flip cannot produce these, so they
+// are built by rewriting the directory and its CRC.
+TEST_F(RosTest, MalformedDirectoryIsCorruption) {
+  WriteContainer(MakeRows(20), 10);
+  const std::string& good = build_.data;
+  Slice tail(good.data() + good.size() - 12, 12);
+  uint64_t dir_len = 0;
+  ASSERT_TRUE(GetFixed64(&tail, &dir_len).ok());
+  const size_t data_end = good.size() - 12 - dir_len;
+  Slice dir(good.data() + data_end, dir_len - 4);
+  uint64_t count = 0;
+  ASSERT_TRUE(GetVarint64(&dir, &count).ok());
+  ASSERT_EQ(count, 3u);
+  std::vector<std::pair<uint64_t, uint64_t>> sections(count);
+  for (auto& [offset, length] : sections) {
+    ASSERT_TRUE(GetVarint64(&dir, &offset).ok());
+    ASSERT_TRUE(GetVarint64(&dir, &length).ok());
+  }
+  auto with_directory =
+      [&](uint64_t n, const std::vector<std::pair<uint64_t, uint64_t>>& secs) {
+        std::string obj = good.substr(0, data_end);
+        std::string d;
+        PutVarint64(&d, n);
+        for (const auto& [offset, length] : secs) {
+          PutVarint64(&d, offset);
+          PutVarint64(&d, length);
+        }
+        PutFixed32(&d, Crc32c(d.data(), d.size()));
+        obj += d;
+        PutFixed64(&obj, d.size());
+        obj += good.substr(good.size() - 4);  // Container magic.
+        return obj;
+      };
+  RosScanOptions scan;
+  scan.output_columns = {0, 1, 2};
+  auto scan_status = [&](const std::string& obj) {
+    MemObjectStore store;
+    EXPECT_TRUE(store.Put("data/bad", obj).ok());
+    DirectFetcher fetcher(&store);
+    return ScanRosContainer(schema_, "data/bad", &fetcher, scan).status();
+  };
+
+  // The rewrite itself is faithful.
+  EXPECT_TRUE(scan_status(with_directory(count, sections)).ok());
+  // Column count disagrees with the schema.
+  EXPECT_TRUE(scan_status(with_directory(2, {sections[0], sections[1]}))
+                  .IsCorruption());
+  // A section runs past the data region, or starts beyond it, or its
+  // offset + length wraps around.
+  auto moved = sections;
+  moved[2].second += 1;
+  EXPECT_TRUE(scan_status(with_directory(count, moved)).IsCorruption());
+  moved = sections;
+  moved[1].first = data_end + 1;
+  EXPECT_TRUE(scan_status(with_directory(count, moved)).IsCorruption());
+  moved = sections;
+  moved[1].second = UINT64_MAX - moved[1].first + 2;
+  EXPECT_TRUE(scan_status(with_directory(count, moved)).IsCorruption());
+  // An empty section has no trailer.
+  moved = sections;
+  moved[0] = {0, 0};
+  EXPECT_TRUE(scan_status(with_directory(count, moved)).IsCorruption());
 }
 
 TEST_F(RosTest, FindMatchingPositions) {
@@ -924,7 +1045,7 @@ TEST_F(RosTest, LateMatDecodesFewerValuesOnSelectivePredicate) {
   EXPECT_LT(stats.values_decoded, full_decode);
 }
 
-TEST_F(RosTest, SkipsOutputFilesWhenNothingSurvives) {
+TEST_F(RosTest, NothingSurvivingDecodesNoOutputColumn) {
   WriteContainer(MakeRows(500), 100);
   RosScanOptions scan;
   scan.output_columns = {1, 2};
@@ -939,16 +1060,27 @@ TEST_F(RosTest, SkipsOutputFilesWhenNothingSurvives) {
   // Blocks 1..4 are refuted by min/max (id >= 100 > 10); block 0's range
   // [0,99] admits both halves, so only evaluation can empty it.
   EXPECT_EQ(stats.blocks_pruned, 4u);
-  EXPECT_EQ(stats.files_fetched, 1u);      // Predicate column only.
-  EXPECT_EQ(stats.files_skipped, 2u);      // price + tag never fetched.
+  EXPECT_EQ(stats.files_fetched, 1u);
 
-  // A matching predicate fetches the output files and skips nothing.
+  // All decode work is phase 1's: outputting only the predicate column
+  // costs exactly the same.
+  RosScanOptions pred_only = scan;
+  pred_only.output_columns = {0};
+  RosScanStats base;
+  ASSERT_TRUE(
+      ScanRosContainer(schema_, "data/test", &fetcher_, pred_only, &base)
+          .ok());
+  EXPECT_EQ(stats.values_decoded, base.values_decoded);
+  EXPECT_EQ(stats.values_unpacked, base.values_unpacked);
+
+  // A matching predicate decodes the output columns of its survivors from
+  // the same one object.
   scan.predicate = Predicate::Cmp(0, CmpOp::kLt, Value::Int(10));
   RosScanStats hit;
   ASSERT_TRUE(
       ScanRosContainer(schema_, "data/test", &fetcher_, scan, &hit).ok());
-  EXPECT_EQ(hit.files_fetched, 3u);
-  EXPECT_EQ(hit.files_skipped, 0u);
+  EXPECT_EQ(hit.files_fetched, 1u);
+  EXPECT_EQ(hit.rows_output, 10u);
 }
 
 TEST_F(RosTest, FindMatchingPositionsMatchesRowWiseScan) {
@@ -981,7 +1113,7 @@ TEST_F(RosTest, EmptyContainer) {
 
 TEST_F(RosTest, RejectsMismatchedRows) {
   std::vector<Row> bad = {{Value::Int(1)}};  // Wrong arity.
-  EXPECT_TRUE(RosContainerWriter::Build(schema_, bad, "data/x", {})
+  EXPECT_TRUE(RosContainerWriter::Build(schema_, bad)
                   .status()
                   .IsInvalidArgument());
 }

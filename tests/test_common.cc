@@ -112,6 +112,59 @@ TEST(HashTest, Crc32cKnownVector) {
   EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
 }
 
+/// The bytewise table-driven CRC32C, kept as the oracle for the
+/// slicing-by-8 implementation.
+uint32_t Crc32cBytewise(const void* data, size_t len, uint32_t init = 0) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? (0x82F63B78u ^ (c >> 1)) : c >> 1;
+    table[i] = c;
+  }
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  uint32_t c = init ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(HashTest, Crc32cRfc3720Vectors) {
+  // RFC 3720 (iSCSI) appendix B.4 test vectors.
+  const std::string zeros(32, '\x00');
+  const std::string ones(32, '\xFF');
+  EXPECT_EQ(Crc32c(zeros.data(), zeros.size()), 0x8A9136AAu);
+  EXPECT_EQ(Crc32c(ones.data(), ones.size()), 0x62A8AB43u);
+  EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
+  EXPECT_EQ(Crc32c(nullptr, 0), 0u);
+}
+
+TEST(HashTest, Crc32cMatchesBytewiseOracleAtEveryLengthAndAlignment) {
+  std::string buf(1024 + 8, '\0');
+  uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (char& ch : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    ch = static_cast<char>(x);
+  }
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      const char* p = buf.data() + align;
+      ASSERT_EQ(Crc32c(p, len), Crc32cBytewise(p, len))
+          << "len " << len << " align " << align;
+    }
+  }
+  // Chaining through `init` equals one pass over the concatenation, at
+  // every split point (splits cross the 8-byte steps at every phase).
+  const size_t total = 100;
+  const uint32_t whole = Crc32c(buf.data(), total);
+  for (size_t split = 0; split <= total; ++split) {
+    const uint32_t head = Crc32c(buf.data(), split);
+    EXPECT_EQ(Crc32c(buf.data() + split, total - split, head), whole)
+        << "split " << split;
+    EXPECT_EQ(Crc32cBytewise(buf.data() + split, total - split, head), whole);
+  }
+}
+
 TEST(HashTest, Crc32cDetectsBitFlip) {
   std::string data = "the quick brown fox";
   uint32_t crc = Crc32c(data.data(), data.size());

@@ -509,8 +509,8 @@ std::vector<std::pair<std::string, QuerySpec>> PrefetchQuerySet() {
 
 // Cold-cache scans must return bit-identical rows at every (prefetch
 // depth × exec width), including the late-materialized scan's phase-2
-// output columns, which are fetched async. The depth-0 serial run is the
-// baseline, and it must match the reference executor.
+// output columns. The depth-0 serial run is the baseline, and it must
+// match the reference executor.
 TEST(PrefetchDifferential, ColdScanIdentityAcrossDepthsAndWidths) {
   PrefetchClusters* pc = PrefetchClusters::Get();
   for (const auto& [name, spec] : PrefetchQuerySet()) {
@@ -561,6 +561,10 @@ TEST(PrefetchDifferential, ColdScanIssuesUsefulPrefetchWarmScanIssuesNone) {
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   EXPECT_GT(cold->profile.prefetch_issued, 0u);
   EXPECT_GT(cold->profile.prefetch_useful, 0u);
+  // One whole-object GET per container read: prefetch and demand read
+  // coalesce on the object, and no column costs a request of its own.
+  EXPECT_EQ(cold->profile.containers_pruned, 0u);
+  EXPECT_EQ(cold->profile.store_gets, cold->profile.containers_total);
 
   // A fresh session with the same seed replays the same participation
   // decision, so the rerun scans from the nodes the cold run just warmed

@@ -131,17 +131,14 @@ std::vector<Row> NdpRows() {
   return rows;
 }
 
-/// Build the container under `base_key` and Put its files via `store`.
+/// Build the container and Put its object under `base_key` via `store`.
 RosBuildResult BuildNdpContainer(ObjectStore* store,
                                  const std::string& base_key) {
   RosWriteOptions wopts;
   wopts.rows_per_block = 64;
-  auto built = RosContainerWriter::Build(NdpSchema(), NdpRows(), base_key,
-                                         wopts);
+  auto built = RosContainerWriter::Build(NdpSchema(), NdpRows(), wopts);
   EON_CHECK(built.ok());
-  for (const RosColumnFile& f : built->files) {
-    EON_CHECK(store->Put(f.key, f.data).ok());
-  }
+  EON_CHECK(store->Put(base_key, built->data).ok());
   return std::move(built).value();
 }
 

@@ -413,7 +413,7 @@ TEST(TraceMoveout, FannedOutRequestsCarryTraceAndWritingNode) {
       if (r.op == "delete") wal_deletes[node]++;
     }
   }
-  EXPECT_EQ(data_puts, 4);  // Two shard containers x two column files.
+  EXPECT_EQ(data_puts, 2);  // Two shard containers, one object each.
   for (const std::string& node : {"node1", "node2"}) {
     EXPECT_GE(wal_puts[node], 2) << node;     // Flush marker + checkpoint.
     EXPECT_GE(wal_deletes[node], 6) << node;  // Every insert's part.

@@ -735,7 +735,7 @@ TEST(WosTest, ParallelUploadRollsBackAtEveryFailingPut) {
   b->faulty->Arm(0);
   ASSERT_TRUE(CopyInto(cluster, "t", MakeRows(0, 20)).ok());
   const int copy_puts = static_cast<int>(b->faulty->attempted().size());
-  ASSERT_GE(copy_puts, 4);  // Two shards x two column files.
+  ASSERT_EQ(copy_puts, 2);  // Two shards, one container object each.
   int copy_points = 0;
   for (int k = 1; k <= copy_puts; ++k) {
     const std::vector<std::string> keys_before = DataKeys(b->store.get());
@@ -770,7 +770,7 @@ TEST(WosTest, ParallelUploadRollsBackAtEveryFailingPut) {
     EXPECT_EQ(ScannedIds(cluster), IdRange(50)) << k;
     ++moveout_points;
   }
-  EXPECT_GE(moveout_points, 4);
+  EXPECT_EQ(moveout_points, 2);  // Two shard containers, one PUT each.
   EXPECT_EQ(TotalUnflushed(cluster), 0u);
   EXPECT_EQ(ScannedIds(cluster), IdRange(50));
   std::printf("failure points tried: copy=%d moveout=%d\n", copy_points,
