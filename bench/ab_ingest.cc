@@ -11,6 +11,9 @@
 // object-store round trips the paper attributes to S3 dominate exactly
 // where they would in production. After each WOS run, moveout drains the
 // memtables and is timed separately (it amortizes over the whole batch).
+// Each explicit moveout also reads how long it held the WOS gates (the
+// eon_moveout_gate_hold_micros sum before and after, on the same
+// SimClock): readers wait only for the commit window, about one PUT.
 //
 // A second phase measures query latency during ingest: readers run
 // aggregates (wall-clock timed; the sim clock is shared with the
@@ -25,7 +28,9 @@
 //    batching, one WAL append beats per-column container uploads);
 //  - every run lands exactly the row budget (post-moveout COUNT(*));
 //  - every mid-ingest query succeeds and sees a whole-batch prefix
-//    (count % batch == 0, monotone per reader).
+//    (count % batch == 0, monotone per reader);
+//  - the median gate hold of the explicit moveouts is at most one PUT
+//    latency of the store plus 1 ms.
 // Emits BENCH_ingest.json plus metrics/systables sidecars.
 
 #include <algorithm>
@@ -41,6 +46,7 @@
 #include "engine/ddl.h"
 #include "engine/dml.h"
 #include "engine/session.h"
+#include "obs/metrics.h"
 
 namespace eon {
 namespace {
@@ -127,6 +133,7 @@ struct RunRecord {
   int writers = 0;
   bench::MeasuredMicros ingest;
   bench::MeasuredMicros moveout;  ///< Zero for direct mode.
+  double gate_hold_micros = 0;    ///< The moveout's WOS gate hold.
   double rows_per_sec = 0;
   uint64_t store_puts = 0;
   uint64_t wal_groups = 0;
@@ -189,12 +196,16 @@ RunRecord RunIngest(const Mode& mode, int batch, int writers) {
   rec.store_puts = b->store->metrics().puts;
 
   if (mode.wos != 0) {
+    obs::Histogram* gate_hold =
+        b->cluster->mover_metrics().gate_hold_micros;
+    const double held_before = gate_hold->Snapshot().sum;
     rec.moveout = bench::Measure(&b->clock, [&] {
       auto moved = MoveoutWos(b->cluster.get(), "t");
       if (!moved.ok() || *moved != static_cast<uint64_t>(kRowBudget)) {
         failed = true;
       }
     });
+    rec.gate_hold_micros = gate_hold->Snapshot().sum - held_before;
   }
   auto count = CountRows(b->cluster.get());
   rec.count_ok = !failed && count.ok() && *count == kRowBudget;
@@ -293,6 +304,7 @@ JsonValue RecordJson(const RunRecord& r) {
   e.Set("ingest_sim_io_micros", JsonValue::Int(r.ingest.sim_io));
   e.Set("rows_per_sec", JsonValue::Double(r.rows_per_sec));
   e.Set("moveout_micros", JsonValue::Int(r.moveout.total()));
+  e.Set("moveout_gate_hold_micros", JsonValue::Double(r.gate_hold_micros));
   e.Set("store_puts", JsonValue::Int(static_cast<int64_t>(r.store_puts)));
   e.Set("wal_groups", JsonValue::Int(static_cast<int64_t>(r.wal_groups)));
   e.Set("wal_max_group_size",
@@ -355,9 +367,22 @@ int main() {
           : 0;
   bool counts_ok = true;
   for (const RunRecord& r : records) counts_ok = counts_ok && r.count_ok;
+  std::vector<double> holds;
+  for (const RunRecord& r : records) {
+    if (r.mode != "direct") holds.push_back(r.gate_hold_micros);
+  }
+  std::sort(holds.begin(), holds.end());
+  const double gate_hold_p50 = holds.empty() ? 0 : holds[holds.size() / 2];
+  const double gate_hold_bound =
+      static_cast<double>(SimStoreOptions{}.put_latency_micros) + 1000.0;
   const bool trickle_ok = speedup_trickle >= 10.0;
   const bool single_ok = speedup_single >= 1.5;
-  const bool pass = trickle_ok && single_ok && counts_ok && qp.consistent;
+  const bool gate_ok = gate_hold_p50 <= gate_hold_bound;
+  const bool pass =
+      trickle_ok && single_ok && counts_ok && qp.consistent && gate_ok;
+  printf("moveout gate hold p50 %.3f ms over %zu moveouts (bound %.3f ms: "
+         "one PUT + 1 ms)\n",
+         gate_hold_p50 / 1000.0, holds.size(), gate_hold_bound / 1000.0);
 
   JsonValue out = JsonValue::Object();
   out.Set("bench", JsonValue::Str("ingest"));
@@ -383,6 +408,8 @@ int main() {
   gates.Set("single_writer_speedup_ge_1_5x", JsonValue::Bool(single_ok));
   gates.Set("counts_exact", JsonValue::Bool(counts_ok));
   gates.Set("mid_ingest_queries_consistent", JsonValue::Bool(qp.consistent));
+  gates.Set("moveout_gate_hold_p50_micros", JsonValue::Double(gate_hold_p50));
+  gates.Set("moveout_gate_hold_le_put_plus_1ms", JsonValue::Bool(gate_ok));
   gates.Set("pass", JsonValue::Bool(pass));
   out.Set("gates", std::move(gates));
 
@@ -403,6 +430,9 @@ int main() {
   if (!counts_ok) fprintf(stderr, "FAIL: a run lost or duplicated rows\n");
   if (!qp.consistent) {
     fprintf(stderr, "FAIL: mid-ingest query saw a torn batch\n");
+  }
+  if (!gate_ok) {
+    fprintf(stderr, "FAIL: moveout gate hold p50 over one PUT + 1 ms\n");
   }
   return pass ? 0 : 2;
 }

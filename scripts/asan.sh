@@ -4,8 +4,10 @@
 # format and its corruption enumeration (test_columnar), the object stores
 # (test_storage), the file cache (test_cache), store fault injection
 # (test_fault_injection) and the store-side near-data scan
-# (test_pushdown). Uses a separate build directory so the normal build/
-# stays sanitizer-free.
+# (test_pushdown); plus the write path (test_wos), whose Tuple Mover
+# thread can still be running a moveout when a cluster is torn down.
+# Uses a separate build directory so the normal build/ stays
+# sanitizer-free.
 #
 #   scripts/asan.sh            # configure + build + run
 #   BUILD_DIR=out scripts/asan.sh
@@ -13,7 +15,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build-asan}"
-TESTS="test_columnar test_storage test_cache test_fault_injection test_pushdown"
+TESTS="test_columnar test_storage test_cache test_fault_injection test_pushdown test_wos"
 
 cmake -B "$BUILD_DIR" -S . -DEON_SANITIZE=address \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo

@@ -14,7 +14,8 @@
 # queries — span producers on the exec and I/O pools racing dc_trace_spans
 # scans (test_trace); and the write path — concurrent committers racing
 # the group-commit leader (test_wal) plus moveout + inserts racing
-# union-scan queries (test_wos), with the moveout's uploads, flush-marker
+# union-scan queries and the cluster's Tuple Mover thread (test_wos),
+# with the moveout's uploads, flush-marker
 # commits and log-truncation deletes running on I/O-pool lanes
 # (ParallelFor, whose concurrent callers test_common races). Uses a
 # separate build directory so the normal build/ stays sanitizer-free.

@@ -53,6 +53,12 @@ EonCluster::EonCluster(ObjectStore* shared_storage, Clock* clock,
   metrics_.commits = reg->GetCounter("eon_cluster_commits_total");
   metrics_.files_reaped = reg->GetCounter("eon_cluster_files_reaped_total");
   metrics_.pending_deletes = reg->GetGauge("eon_cluster_pending_deletes");
+  mover_metrics_.gate_hold_micros =
+      reg->GetHistogram("eon_moveout_gate_hold_micros");
+  mover_metrics_.queue_wait_micros =
+      reg->GetHistogram("eon_moveout_queue_wait_micros");
+  mover_metrics_.backpressure_waits =
+      reg->GetCounter("eon_wos_backpressure_waits_total");
 
   ThreadPool::Options pool_options;
   pool_options.num_threads = ResolveExecThreads(options_.exec_threads);
@@ -80,6 +86,8 @@ EonCluster::EonCluster(ObjectStore* shared_storage, Clock* clock,
       ResolveGroupCommitMicros(options_.group_commit_micros);
   options_.node.wos.flush_rows = ResolveWosFlushRows(options_.wos_flush_rows);
 }
+
+EonCluster::~EonCluster() { mover_->Stop(); }
 
 bool EonCluster::ResolveWos(int configured) {
   if (configured >= 0) return configured != 0;
@@ -520,7 +528,11 @@ Status EonCluster::Rebalance(bool warm_cache) {
 Status EonCluster::KillNode(Oid node_oid) {
   Node* target = node(node_oid);
   if (target == nullptr) return Status::NotFound("no such node");
-  target->MarkDown();
+  {
+    std::unique_lock<std::mutex> gate;
+    if (target->wos() != nullptr) gate = target->wos()->LockGate();
+    target->MarkDown();
+  }
   CheckViabilityAndMaybeShutdown();
   return Status::OK();
 }
@@ -643,7 +655,11 @@ Status EonCluster::RestartNode(Oid node_oid, bool warm_cache) {
 Status EonCluster::DestroyNodeInstance(Oid node_oid) {
   Node* target = node(node_oid);
   if (target == nullptr) return Status::NotFound("no such node");
-  target->DestroyLocalState();
+  {
+    std::unique_lock<std::mutex> gate;  // As KillNode.
+    if (target->wos() != nullptr) gate = target->wos()->LockGate();
+    target->DestroyLocalState();
+  }
   CheckViabilityAndMaybeShutdown();
   return Status::OK();
 }

@@ -11,6 +11,7 @@
 
 #include "cluster/node.h"
 #include "common/io_pool.h"
+#include "common/serial_worker.h"
 #include "common/thread_pool.h"
 #include "shard/participation.h"
 
@@ -82,9 +83,9 @@ struct ClusterOptions {
   /// round-trip. 0 = flush immediately. < 0 = auto:
   /// EON_GROUP_COMMIT_MICROS if set, else 200.
   int64_t group_commit_micros = -1;
-  /// Moveout threshold: unflushed WOS rows per table at or above this
-  /// count snapshot to real ROS containers and truncate the log. < 0 =
-  /// auto: EON_WOS_FLUSH_ROWS if set, else 4096.
+  /// Moveout threshold: a node's unflushed WOS rows per table at or above
+  /// this count schedule a moveout on the Tuple Mover thread (INSERTs
+  /// wait at 4x). < 0 = auto: EON_WOS_FLUSH_ROWS if set, else 4096.
   int64_t wos_flush_rows = -1;
 };
 
@@ -103,6 +104,9 @@ struct PendingFileDelete {
 /// files.
 class EonCluster {
  public:
+  /// Stops the Tuple Mover thread before any node or pool goes away.
+  ~EonCluster();
+
   /// Bootstrap a fresh database on empty shared storage: sharding config,
   /// node registry, k-safe subscription layout (all ACTIVE), first sync
   /// and cluster_info.json upload.
@@ -178,6 +182,34 @@ class EonCluster {
   /// Effective moveout row threshold (ClusterOptions::wos_flush_rows).
   uint64_t wos_flush_rows() const { return options_.node.wos.flush_rows; }
 
+  // --- Tuple Mover (Section 2.3) ---
+
+  /// The cluster's Tuple Mover service thread. An INSERT that pushes a
+  /// memtable past the moveout threshold posts a keyed moveout job here
+  /// and returns; tests Drain() it to wait until the mover is idle.
+  SerialWorker* mover() { return mover_.get(); }
+  /// Serializes every moveout — background, TupleMover::RunMoveout and
+  /// direct MoveoutWos calls — from its snapshot through its WAL
+  /// truncation, so two truncations of one log never overlap.
+  std::mutex& moveout_mutex() { return moveout_mu_; }
+  /// The table whose snapshotted WOS rows a moveout is landing
+  /// (kInvalidOid = none). Set under every WOS gate, cleared when that
+  /// moveout commits or gives up; DELETE and UPDATE read it under the
+  /// gates and wait that moveout out.
+  Oid moving_table() const { return moving_table_.load(); }
+  void set_moving_table(Oid oid) { moving_table_.store(oid); }
+  /// Tuple Mover instruments, registered with the cluster so
+  /// system_metrics lists them before the first moveout.
+  struct MoverMetrics {
+    /// Time one moveout held the WOS gates (both windows), cluster clock.
+    obs::Histogram* gate_hold_micros = nullptr;
+    /// Time a moveout job waited in the queue before it started.
+    obs::Histogram* queue_wait_micros = nullptr;
+    /// INSERTs that found their memtable at the cap and waited.
+    obs::Counter* backpressure_waits = nullptr;
+  };
+  const MoverMetrics& mover_metrics() const { return mover_metrics_; }
+
   // --- Distributed commit (Section 3.2) ---
 
   /// Commit `txn` on `coordinator` and replicate the log record to every
@@ -208,7 +240,9 @@ class EonCluster {
 
   /// Process termination: the node stops serving; shards it served remain
   /// available via other subscribers. Shuts the cluster down if quorum or
-  /// shard coverage is lost.
+  /// shard coverage is lost. Takes the node's WOS gate, so a moveout's
+  /// gated commit window sees the node either up for its whole length or
+  /// already down.
   Status KillNode(Oid node_oid);
 
   /// Process restart with local disk intact: catch up on missed log
@@ -327,6 +361,11 @@ class EonCluster {
   /// Reader clusters (AttachReadOnly): no commits, no metadata uploads;
   /// incarnation_ records the SOURCE database's incarnation.
   bool read_only_ = false;
+  std::mutex moveout_mu_;
+  std::atomic<Oid> moving_table_{kInvalidOid};
+  MoverMetrics mover_metrics_;
+  /// Its jobs use the nodes and both pools: ~EonCluster stops it first.
+  std::unique_ptr<SerialWorker> mover_ = std::make_unique<SerialWorker>();
 };
 
 }  // namespace eon

@@ -1,11 +1,17 @@
 #include "engine/dml.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <future>
 #include <map>
+#include <mutex>
+#include <optional>
+#include <set>
 
 #include "columnar/sort.h"
 #include "common/io_pool.h"
 #include "engine/executor.h"
+#include "engine/trace.h"
 #include "obs/dc.h"
 #include "obs/trace.h"
 
@@ -125,6 +131,69 @@ std::vector<Node*> WosNodes(EonCluster* cluster) {
             [](const Node* a, const Node* b) { return a->oid() < b->oid(); });
   return out;
 }
+
+using GateLocks = std::vector<std::unique_lock<std::mutex>>;
+
+/// Every node's moveout/delete gate, taken in the order WosNodes gives.
+GateLocks LockGates(const std::vector<Node*>& nodes) {
+  GateLocks gates;
+  gates.reserve(nodes.size());
+  for (Node* n : nodes) gates.push_back(n->wos()->LockGate());
+  return gates;
+}
+
+/// Memtable cap per (node, table): at this many unflushed rows an INSERT
+/// waits for the Tuple Mover instead of growing the WOS further.
+uint64_t BackpressureRows(uint64_t flush_rows) {
+  return flush_rows > UINT64_MAX / 4 ? UINT64_MAX : 4 * flush_rows;
+}
+
+/// A load whose container objects are built, write-through cached,
+/// uploaded and pushed to peer caches, but not yet committed.
+struct StagedLoad {
+  struct File {
+    std::string key;
+    std::string data;
+    Node* writer = nullptr;
+    ShardId shard = 0;
+  };
+  Node* coord = nullptr;
+  CatalogTxn txn;
+  std::map<ShardId, std::set<Oid>> observed_subscribers;
+  std::vector<File> files;
+};
+
+/// Undo a load that will not commit: once its uploads ran, delete every
+/// staged key (billed to its writer), then drop each key from every
+/// cache. Only called after every upload lane has returned, so no PUT can
+/// land after the DELETE that reclaims it.
+void RollbackLoad(EonCluster* cluster, const StagedLoad& load,
+                  bool uploads_ran) {
+  if (uploads_ran) {
+    ParallelFor(cluster->io_pool(), load.files.size(), [&](size_t i) {
+      obs::DcNodeScope dc_scope(load.files[i].writer->name());
+      cluster->shared_storage()->Delete(load.files[i].key);  // Best effort.
+      return Status::OK();
+    });
+  }
+  for (const StagedLoad::File& f : load.files) {
+    for (const auto& n : cluster->nodes()) n->cache()->Drop(f.key);
+  }
+}
+
+/// The commit point of a staged load: all data is on shared storage, so
+/// node failure past this point cannot lose files. The subscription-
+/// change invariant is checked inside CommitDistributed, which refuses
+/// the transaction if it was violated; the caller then rolls back.
+Result<uint64_t> CommitStaged(EonCluster* cluster, const StagedLoad& load) {
+  return cluster->CommitDistributed(load.coord->oid(), load.txn,
+                                    &load.observed_subscribers);
+}
+
+Result<StagedLoad> StageLoad(
+    EonCluster* cluster,
+    const std::vector<std::pair<std::string, std::vector<Row>>>& loads,
+    const CopyOptions& options, Oid only_projection);
 
 }  // namespace
 
@@ -296,6 +365,48 @@ Result<uint64_t> CopyInto(EonCluster* cluster, const std::string& table,
   return LoadIntoTables(cluster, loads, options);
 }
 
+namespace {
+
+/// Post a moveout of `table` to the cluster's Tuple Mover thread (joining
+/// the one already queued for it). The job moves the table out only if
+/// some node still holds at least the threshold of its rows unflushed,
+/// under its own trace root. The future reads the job's status.
+std::shared_future<Status> ScheduleMoveout(EonCluster* cluster,
+                                           const std::string& table) {
+  obs::Histogram* queue_wait = cluster->mover_metrics().queue_wait_micros;
+  const int64_t posted = cluster->clock()->NowMicros();
+  return cluster->mover()->Post(
+      "moveout:" + table, [cluster, table, queue_wait, posted]() -> Status {
+        queue_wait->Observe(
+            static_cast<double>(cluster->clock()->NowMicros() - posted));
+        // Triggers that queued behind a moveout which already took their
+        // rows find nothing over the threshold and stop here.
+        Node* coord = cluster->AnyUpNode();
+        if (coord == nullptr) return Status::Unavailable("no up nodes");
+        auto snapshot = coord->catalog()->snapshot();
+        const TableDef* tdef = snapshot->FindTableByName(table);
+        if (tdef == nullptr) return Status::NotFound("no such table: " + table);
+        const std::vector<Node*> nodes = WosNodes(cluster);
+        if (std::none_of(nodes.begin(), nodes.end(), [&](const Node* n) {
+              return n->wos()->UnflushedRows(tdef->oid) >=
+                     n->wos_options().flush_rows;
+            })) {
+          return Status::OK();
+        }
+        // Its own trace root: the moveout's spans and store requests
+        // belong to no client statement.
+        QueryTraceGuard trace(cluster, "tuple_mover", /*force=*/false);
+        std::optional<obs::TraceScope> scope;
+        if (trace.active()) scope.emplace(trace.context());
+        Status moved = MoveoutWos(cluster, table).status();
+        scope.reset();
+        trace.Finish(obs::QueryProfile{});
+        return moved;
+      });
+}
+
+}  // namespace
+
 Result<uint64_t> InsertInto(EonCluster* cluster, const std::string& table,
                             const std::vector<Row>& rows,
                             const InsertOptions& options,
@@ -345,6 +456,18 @@ Result<uint64_t> InsertInto(EonCluster* cluster, const std::string& table,
     }
   }
 
+  // Backpressure, before the append so a refused INSERT is never
+  // durable: at the cap this node's memtable waits for the Tuple Mover.
+  const uint64_t flush_rows = coord->wos_options().flush_rows;
+  const uint64_t cap = BackpressureRows(flush_rows);
+  if (coord->wos()->UnflushedRows(tdef->oid) >= cap) {
+    cluster->mover_metrics().backpressure_waits->Increment();
+    Status landed = ScheduleMoveout(cluster, table).get();
+    if (!landed.ok() && coord->wos()->UnflushedRows(tdef->oid) >= cap) {
+      return landed;
+    }
+  }
+
   obs::Span span = obs::StartTraceSpan("insert_wos");
   if (span.valid()) {
     span.SetNode(coord->name());
@@ -373,38 +496,32 @@ Result<uint64_t> InsertInto(EonCluster* cluster, const std::string& table,
   }
 
   // Moveout threshold: once this node's unflushed rows for the table
-  // reach the configured budget, snapshot them to ROS synchronously (the
-  // TupleMover also sweeps on its own cadence).
-  if (coord->wos()->UnflushedRows(tdef->oid) >=
-      coord->wos_options().flush_rows) {
-    Result<uint64_t> moved = MoveoutWos(cluster, table);
-    if (!moved.ok()) return moved.status();
+  // reach the configured budget, hand the table to the Tuple Mover thread.
+  // The rows are durable, so the statement's status is the WAL commit's
+  // whatever that moveout does.
+  if (coord->wos()->UnflushedRows(tdef->oid) >= flush_rows) {
+    ScheduleMoveout(cluster, table);
   }
   return rows.size();
 }
 
 Result<uint64_t> MoveoutWos(EonCluster* cluster, const std::string& table) {
+  // One moveout at a time, from the snapshot through the truncation.
+  std::lock_guard<std::mutex> serial(cluster->moveout_mutex());
   Node* coord = cluster->AnyUpNode();
   if (coord == nullptr) return Status::Unavailable("no up nodes");
   auto snapshot = coord->catalog()->snapshot();
   const TableDef* tdef = snapshot->FindTableByName(table);
   if (tdef == nullptr) return Status::NotFound("no such table: " + table);
 
-  std::vector<Node*> wos_nodes = WosNodes(cluster);
-  if (wos_nodes.empty()) return 0;
-
+  Clock* clock = cluster->clock();
   obs::Span span = obs::StartTraceSpan("moveout");
   if (span.valid()) span.SetAttribute("table", table);
 
-  // Gate every node for the whole {gather, container commit, flush-marker
-  // commit} window: a query either collects the WOS before the catalog
-  // commit (rows visible in memory, containers absent from its snapshot)
-  // or after the flush markers applied (rows excluded by flush_version,
-  // containers present) — never both, never neither.
-  std::vector<std::unique_lock<std::mutex>> gates;
-  gates.reserve(wos_nodes.size());
-  for (Node* n : wos_nodes) gates.push_back(n->wos()->LockGate());
-
+  // Gated window 1: snapshot every node's unflushed rows up to its
+  // watermark LSN and mark the table moving. Batches applied later carry
+  // higher LSNs (the WAL applies in LSN order), so the flush markers
+  // below cover exactly the snapshotted batches.
   struct NodeFlush {
     Node* node = nullptr;
     uint64_t up_to_lsn = 0;
@@ -412,49 +529,98 @@ Result<uint64_t> MoveoutWos(EonCluster* cluster, const std::string& table) {
   };
   std::vector<NodeFlush> flushes;
   std::vector<Row> rows;
-  for (Node* n : wos_nodes) {
-    Wos::Unflushed u = n->wos()->GatherUnflushed(tdef->oid);
-    if (u.up_to_lsn == 0) continue;
-    flushes.push_back(NodeFlush{n, u.up_to_lsn, u.rows.size()});
-    for (Row& r : u.rows) rows.push_back(std::move(r));
+  int64_t gated_micros = 0;
+  {
+    const std::vector<Node*> wos_nodes = WosNodes(cluster);
+    GateLocks gates = LockGates(wos_nodes);
+    const int64_t t0 = clock->NowMicros();
+    for (Node* n : wos_nodes) {
+      Wos::Unflushed u = n->wos()->GatherUnflushed(tdef->oid);
+      if (u.up_to_lsn == 0) continue;
+      flushes.push_back(NodeFlush{n, u.up_to_lsn, u.rows.size()});
+      for (Row& r : u.rows) rows.push_back(std::move(r));
+    }
+    if (!rows.empty()) cluster->set_moving_table(tdef->oid);
+    gated_micros += clock->NowMicros() - t0;
   }
-  if (rows.empty()) {
-    span.End();
-    return 0;
-  }
+  if (rows.empty()) return 0;
   const uint64_t moved = rows.size();
   if (span.valid()) span.SetAttribute("rows", static_cast<int64_t>(moved));
 
+  // Build and upload with the gates released: queries, INSERTs and DML on
+  // other tables run on. DELETE/UPDATE on this table wait (moving mark).
   std::vector<std::pair<std::string, std::vector<Row>>> loads;
   loads.emplace_back(table, std::move(rows));
-  Result<uint64_t> version = LoadIntoTables(cluster, loads);
-  if (!version.ok()) return version.status();  // Gates release on unwind.
-  if (span.valid()) {
-    span.SetAttribute("version", static_cast<int64_t>(*version));
+  Result<StagedLoad> staged = StageLoad(cluster, loads, {}, kInvalidOid);
+  if (!staged.ok()) {
+    cluster->set_moving_table(kInvalidOid);
+    return staged.status();
   }
 
-  // Mark the moved batches flushed, durably, before the gates drop:
-  // append every node's marker, then commit them all at once, so the gated
-  // window pays one log round trip, not one per node. The only
-  // double-exposure window left is a crash between the container commit
-  // above and these markers becoming durable (DESIGN.md §14).
-  std::vector<uint64_t> marker_lsns;
-  marker_lsns.reserve(flushes.size());
-  for (const NodeFlush& f : flushes) {
-    WosFlushPayload p;
-    p.table_oid = tdef->oid;
-    p.up_to_lsn = f.up_to_lsn;
-    p.version = *version;
-    WalRecord rec;
-    rec.kind = WalRecord::Kind::kFlush;
-    rec.payload = EncodeWosFlush(p);
-    marker_lsns.push_back(f.node->wal()->Append(std::move(rec)));
-  }
-  EON_RETURN_IF_ERROR(
-      ParallelFor(cluster->io_pool(), flushes.size(), [&](size_t i) {
+  // Gated window 2: commit the containers, then mark the moved batches
+  // flushed, durably, before the gates drop — a query either collects the
+  // WOS before the catalog commit (rows in memory, containers absent from
+  // its snapshot) or after the markers applied (rows excluded by
+  // flush_version, containers present), never both, never neither. Every
+  // node's marker is appended first and all commit at once, so the window
+  // pays one log round trip, not one per node. The only double-exposure
+  // window left is a crash between the container commit and the markers
+  // becoming durable (DESIGN.md §14).
+  Status landed = Status::OK();
+  uint64_t version = 0;
+  bool committed = false;
+  {
+    GateLocks gates = LockGates(WosNodes(cluster));
+    const int64_t t0 = clock->NowMicros();
+    // A node killed since the snapshot lost its memtable, and replay
+    // brings its rows back unflushed: committing containers for them
+    // would expose them twice. KillNode takes the gate, so this check
+    // holds until the markers are durable.
+    for (const NodeFlush& f : flushes) {
+      if (!f.node->is_up() || !f.node->wal()->is_open()) {
+        landed = Status::Unavailable("node " + f.node->name() +
+                                     " went down during moveout");
+        break;
+      }
+    }
+    if (landed.ok()) {
+      Result<uint64_t> v = CommitStaged(cluster, *staged);
+      committed = v.ok();
+      if (committed) {
+        version = *v;
+      } else {
+        landed = v.status();
+      }
+    }
+    if (committed) {
+      std::vector<uint64_t> marker_lsns;
+      marker_lsns.reserve(flushes.size());
+      for (const NodeFlush& f : flushes) {
+        WosFlushPayload p;
+        p.table_oid = tdef->oid;
+        p.up_to_lsn = f.up_to_lsn;
+        p.version = version;
+        WalRecord rec;
+        rec.kind = WalRecord::Kind::kFlush;
+        rec.payload = EncodeWosFlush(p);
+        marker_lsns.push_back(f.node->wal()->Append(std::move(rec)));
+      }
+      landed = ParallelFor(cluster->io_pool(), flushes.size(), [&](size_t i) {
         obs::DcNodeScope dc_scope(flushes[i].node->name());
         return flushes[i].node->wal()->Commit(marker_lsns[i]).status();
-      }));
+      });
+    }
+    cluster->set_moving_table(kInvalidOid);
+    gated_micros += clock->NowMicros() - t0;
+  }
+  cluster->mover_metrics().gate_hold_micros->Observe(
+      static_cast<double>(gated_micros));
+  if (!committed) {
+    RollbackLoad(cluster, *staged, /*uploads_ran=*/true);
+    return landed;
+  }
+  EON_RETURN_IF_ERROR(landed);
+  if (span.valid()) span.SetAttribute("version", static_cast<int64_t>(version));
   for (const NodeFlush& f : flushes) {
     obs::DcWalEvent e;
     e.kind = "moveout";
@@ -463,10 +629,10 @@ Result<uint64_t> MoveoutWos(EonCluster* cluster, const std::string& table) {
     e.records = f.rows;
     f.node->dc()->RecordWalEvent(std::move(e));
   }
-  gates.clear();
   span.End();
 
-  // Log truncation, outside the gates. The WAL is shared by every table
+  // Log truncation, outside the gates but under the moveout lock, so two
+  // truncations of one log never overlap. The WAL is shared by every table
   // on a node, so each node's safe watermark is just below its oldest
   // still-unflushed batch (any table); with nothing unflushed the whole
   // synced log can go. Each Truncate fans its deletes out on the I/O pool
@@ -494,16 +660,18 @@ Result<uint64_t> MoveoutWos(EonCluster* cluster, const std::string& table) {
     }
   }
   if (min_running != UINT64_MAX) {
-    for (Node* n : wos_nodes) n->wos()->ReleaseFlushed(min_running);
+    for (Node* n : WosNodes(cluster)) n->wos()->ReleaseFlushed(min_running);
   }
   return moved;
 }
 
 namespace {
 
-/// Shared writer: when `only_projection` is set, containers are written
-/// for that projection alone (new-projection backfill).
-Result<uint64_t> LoadIntoTablesFiltered(
+/// Build, cache and upload every container object of `loads` (for
+/// `only_projection` alone when set: new-projection backfill) and collect
+/// the catalog transaction that commits them. On failure nothing is left
+/// behind: every staged key is deleted and dropped from every cache.
+Result<StagedLoad> StageLoad(
     EonCluster* cluster,
     const std::vector<std::pair<std::string, std::vector<Row>>>& loads,
     const CopyOptions& options, Oid only_projection) {
@@ -531,34 +699,13 @@ Result<uint64_t> LoadIntoTablesFiltered(
       SubscriptionState::kPending, SubscriptionState::kPassive,
       SubscriptionState::kActive, SubscriptionState::kRemoving};
 
-  CatalogTxn txn;
-  std::map<ShardId, std::set<Oid>> observed_subscribers;
-
   // Every container object of the load, built and write-through cached on
   // its writer, waiting for the one upload fan-out below.
-  struct StagedFile {
-    std::string key;
-    std::string data;
-    Node* writer = nullptr;
-    ShardId shard = 0;
-  };
-  std::vector<StagedFile> staged;
-  IoPool* io_pool = cluster->io_pool();
-
-  // Undo a failed load: drop every staged key from every cache and, once
-  // the upload fan-out has run, delete it from shared storage. Only ever
-  // called after every upload lane has returned, so no PUT can land after
-  // the DELETE that reclaims it.
-  auto rollback = [&](bool uploads_ran) {
-    if (uploads_ran) {
-      ParallelFor(io_pool, staged.size(), [&](size_t i) {
-        cluster->shared_storage()->Delete(staged[i].key);  // Best effort.
-        return Status::OK();
-      });
-    }
-    for (const StagedFile& f : staged) {
-      for (const auto& n : cluster->nodes()) n->cache()->Drop(f.key);
-    }
+  StagedLoad load;
+  load.coord = coord;
+  auto fail = [&](Status s, bool uploads_ran) {
+    RollbackLoad(cluster, load, uploads_ran);
+    return s;
   };
 
   for (const auto& [load_table, rows] : loads) {
@@ -595,11 +742,10 @@ Result<uint64_t> LoadIntoTablesFiltered(
       }
       Node* writer = cluster->node(writer_oid);
       if (writer == nullptr || !writer->is_up()) {
-        rollback(/*uploads_ran=*/false);
-        return Status::Unavailable("writer node is down");
+        return fail(Status::Unavailable("writer node is down"), false);
       }
       for (Oid sub : snapshot->SubscribersOf(group.shard, receiving)) {
-        observed_subscribers[group.shard].insert(sub);
+        load.observed_subscribers[group.shard].insert(sub);
       }
 
       // Each container is totally sorted by the projection sort order.
@@ -610,20 +756,14 @@ Result<uint64_t> LoadIntoTablesFiltered(
       wopts.rows_per_block = options.rows_per_block;
       Result<RosBuildResult> built =
           RosContainerWriter::Build(proj_schema, group.rows, wopts);
-      if (!built.ok()) {
-        rollback(/*uploads_ran=*/false);
-        return built.status();
-      }
+      if (!built.ok()) return fail(built.status(), false);
 
-      staged.push_back(
-          StagedFile{base_key, std::move(built->data), writer, group.shard});
+      load.files.push_back(StagedLoad::File{base_key, std::move(built->data),
+                                            writer, group.shard});
       if (options.write_through_cache) {
-        const StagedFile& f = staged.back();
+        const StagedLoad::File& f = load.files.back();
         Status s = writer->cache()->Insert(f.key, f.data);
-        if (!s.ok()) {
-          rollback(/*uploads_ran=*/false);
-          return s;
-        }
+        if (!s.ok()) return fail(s, false);
       }
 
       StorageContainerMeta meta;
@@ -637,7 +777,7 @@ Result<uint64_t> LoadIntoTablesFiltered(
       meta.column_ranges = built->column_ranges;
       meta.stratum = 0;
       meta.create_version = snapshot->version + 1;  // Best-effort tag.
-      txn.PutContainer(meta);
+      load.txn.PutContainer(meta);
     }
   }
   }
@@ -645,36 +785,37 @@ Result<uint64_t> LoadIntoTablesFiltered(
   // Upload every staged container at once: the load costs a few store
   // round trips, not one per container. Each PUT is billed to its writing
   // node.
-  Status uploaded = ParallelFor(io_pool, staged.size(), [&](size_t i) {
-    obs::DcNodeScope dc_scope(staged[i].writer->name());
-    return cluster->shared_storage()->Put(staged[i].key, staged[i].data);
-  });
-  if (!uploaded.ok()) {
-    rollback(/*uploads_ran=*/true);
-    return uploaded;
-  }
+  Status uploaded =
+      ParallelFor(cluster->io_pool(), load.files.size(), [&](size_t i) {
+        obs::DcNodeScope dc_scope(load.files[i].writer->name());
+        return cluster->shared_storage()->Put(load.files[i].key,
+                                              load.files[i].data);
+      });
+  if (!uploaded.ok()) return fail(uploaded, true);
   // Durable: push the objects to the caches of the shard's peer
   // subscribers.
   if (options.write_through_cache) {
-    for (const StagedFile& f : staged) {
-      for (Oid sub : observed_subscribers[f.shard]) {
+    for (const StagedLoad::File& f : load.files) {
+      for (Oid sub : load.observed_subscribers[f.shard]) {
         Node* peer = cluster->node(sub);
         if (peer == nullptr || peer == f.writer || !peer->is_up()) continue;
         peer->cache()->Insert(f.key, f.data);
       }
     }
   }
+  return load;
+}
 
-  // Commit point: all data is on shared storage; node failure past this
-  // point cannot lose files. The subscription-change invariant is checked
-  // inside CommitDistributed and rolls the transaction back if violated.
-  Result<uint64_t> version =
-      cluster->CommitDistributed(coord->oid(), txn, &observed_subscribers);
-  if (!version.ok()) {
-    rollback(/*uploads_ran=*/true);
-    return version.status();
-  }
-  return *version;
+/// Stage and commit in one go (COPY, backfill).
+Result<uint64_t> LoadIntoTablesFiltered(
+    EonCluster* cluster,
+    const std::vector<std::pair<std::string, std::vector<Row>>>& loads,
+    const CopyOptions& options, Oid only_projection) {
+  EON_ASSIGN_OR_RETURN(StagedLoad load,
+                       StageLoad(cluster, loads, options, only_projection));
+  Result<uint64_t> version = CommitStaged(cluster, load);
+  if (!version.ok()) RollbackLoad(cluster, load, /*uploads_ran=*/true);
+  return version;
 }
 
 }  // namespace
@@ -715,12 +856,25 @@ Result<uint64_t> DeleteWhereImpl(EonCluster* cluster, const std::string& table,
   // flushed) — every matching row is in exactly one of the two stores
   // this statement reads.
   std::vector<Node*> wos_nodes = WosNodes(cluster);
-  std::vector<std::unique_lock<std::mutex>> gates;
-  gates.reserve(wos_nodes.size());
-  for (Node* n : wos_nodes) gates.push_back(n->wos()->LockGate());
+  GateLocks gates = LockGates(wos_nodes);
   auto snapshot = coord->catalog()->snapshot();
   const TableDef* tdef = snapshot->FindTableByName(table);
   if (tdef == nullptr) return Status::NotFound("no such table: " + table);
+  // A moveout between its two gated windows has copied this table's
+  // unflushed rows into containers it has not committed yet: a tombstone
+  // now would miss them. Wait it out — drop the gates, take the moveout
+  // lock (free once that moveout is done, and no other can start while
+  // this statement holds it), then gate again. One path, no retry.
+  std::unique_lock<std::mutex> no_moveout;
+  if (cluster->moving_table() == tdef->oid) {
+    gates.clear();
+    no_moveout = std::unique_lock<std::mutex>(cluster->moveout_mutex());
+    wos_nodes = WosNodes(cluster);
+    gates = LockGates(wos_nodes);
+    snapshot = coord->catalog()->snapshot();
+    tdef = snapshot->FindTableByName(table);
+    if (tdef == nullptr) return Status::NotFound("no such table: " + table);
+  }
   // Live aggregates trade pre-computation for update restrictions
   // (Section 2.1): a base with LAPs cannot be deleted from, and LAPs are
   // never targeted directly.

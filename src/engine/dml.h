@@ -51,6 +51,13 @@ struct InsertOptions {
 /// EON_WOS=off fall back to the direct-ROS COPY path — both paths yield
 /// bit-identical query results. Returns the number of rows inserted;
 /// `profile` (optional) receives the wal block of the commit.
+///
+/// The status is the WAL commit's: a statement that pushes the node's
+/// memtable for the table to the moveout threshold only schedules a
+/// moveout on the cluster's Tuple Mover thread. Backpressure: at 4x the
+/// threshold the statement first waits for that moveout, and fails
+/// without appending anything if it failed and the memtable is still
+/// over the cap.
 Result<uint64_t> InsertInto(EonCluster* cluster, const std::string& table,
                             const std::vector<Row>& rows,
                             const InsertOptions& options = {},
@@ -59,9 +66,12 @@ Result<uint64_t> InsertInto(EonCluster* cluster, const std::string& table,
 /// Moveout (TupleMover): snapshot every node's unflushed WOS rows of
 /// `table` into ROS containers via the shared load path, mark them
 /// flushed in each node's WAL, and truncate the logs up to the
-/// node-global safe watermark. Holds every node's WOS gate across the
-/// catalog commit so concurrent queries see the rows exactly once.
-/// Returns the number of rows moved (0 = nothing to do).
+/// node-global safe watermark. Holds every node's WOS gate twice: to
+/// snapshot the rows, and across the catalog commit plus the flush
+/// markers, so concurrent queries see the rows exactly once. The
+/// containers are built and uploaded between the two windows. Serialized
+/// with every other moveout on the cluster's moveout lock. Returns the
+/// number of rows moved (0 = nothing to do).
 Result<uint64_t> MoveoutWos(EonCluster* cluster, const std::string& table);
 
 /// DELETE ... WHERE: computes matching positions in every projection's

@@ -184,8 +184,9 @@ Result<QueryResult> SessionManager::ExecuteInsert(uint64_t session_id,
   }
   std::lock_guard<std::mutex> exec_lock(state->exec_mu);
 
-  // Same trace-mint rule as Execute: the root span covers the WAL append,
-  // group-commit wait, and any synchronous moveout the insert triggers.
+  // Same trace-mint rule as Execute: the root span covers the WAL append
+  // and the group-commit wait. A moveout the insert triggers runs on the
+  // Tuple Mover thread under its own trace.
   QueryTraceGuard trace_guard;
   std::optional<obs::TraceScope> trace_scope;
   if (obs::TraceScope::Current() == nullptr) {
@@ -198,6 +199,9 @@ Result<QueryResult> SessionManager::ExecuteInsert(uint64_t session_id,
   // append on the connected node, not a distributed scan.
   state->state.store(kActive, std::memory_order_relaxed);
   QueryResult result;
+  if (const obs::TraceContext* trace = obs::TraceScope::Current()) {
+    result.profile.trace_id = trace->trace_id;
+  }
   InsertOptions options;
   options.connected_node = state->session.connected_node();
   Result<uint64_t> inserted =

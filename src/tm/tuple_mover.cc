@@ -29,7 +29,8 @@ Result<uint64_t> TupleMover::RunMoveout() {
   auto snapshot = coord->catalog()->snapshot();
 
   // Union of tables holding unflushed WOS rows on any up node; MoveoutWos
-  // itself gathers across every node, so each table is swept once.
+  // itself gathers across every node, so each table is swept once. Each
+  // call waits its turn on the cluster's moveout lock.
   std::set<Oid> table_oids;
   for (const auto& n : cluster_->nodes()) {
     if (!n->is_up() || !n->wos_enabled()) continue;

@@ -46,6 +46,13 @@ struct MergeoutStats {
 /// for the ingest fast path's write-optimized store — unflushed WOS rows
 /// are snapshotted into real ROS containers, which then feed the mergeout
 /// strata like any freshly loaded container.
+///
+/// This object runs work only when called. Background moveouts run on the
+/// cluster's own service thread (EonCluster::mover()): an INSERT that
+/// pushes a memtable past the threshold posts a MoveoutWos job there
+/// (see InsertInto, engine/dml.h). RunMoveout and direct MoveoutWos
+/// calls serialize with those jobs on the cluster's moveout lock.
+/// Mergeout does not run on that thread yet.
 class TupleMover {
  public:
   TupleMover(EonCluster* cluster, MergeoutOptions options = {});
@@ -57,7 +64,8 @@ class TupleMover {
 
   /// Moveout sweep: snapshot every table with unflushed WOS rows (on any
   /// up node) into ROS containers via MoveoutWos, truncating the WALs up
-  /// to the safe watermark. Returns the number of rows moved.
+  /// to the safe watermark, on the calling thread. Returns the number of
+  /// rows moved.
   Result<uint64_t> RunMoveout();
 
   /// The current mergeout coordinator of a shard; reassigned on failure.

@@ -248,6 +248,10 @@ Result<WalCommitInfo> WalWriter::Commit(uint64_t lsn) {
 }
 
 Status WalWriter::Truncate(uint64_t up_to_lsn) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (up_to_lsn <= truncated_lsn_) return Status::OK();
+  }
   obs::Span span = obs::StartTraceSpan("wal_truncate");
   // One listing of the whole log prefix serves both delete passes: the
   // covered parts and the checkpoint markers older than this one.
@@ -288,6 +292,10 @@ Status WalWriter::Truncate(uint64_t up_to_lsn) {
   // when a straddling part survived the deletes above.
   Status ck = store_->Put(marker_prefix + Pad(up_to_lsn, 20), "");
   if (!ck.ok() && !ck.IsAlreadyExists()) return ck;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    truncated_lsn_ = std::max(truncated_lsn_, up_to_lsn);
+  }
   // Older markers are redundant (replay takes the max) — prune them so a
   // long-lived node doesn't accumulate one object per truncation. Best
   // effort: a survivor is picked up by the next truncation.

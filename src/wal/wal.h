@@ -126,8 +126,10 @@ class WalWriter {
   /// markers. One LIST of the whole prefix feeds both delete passes, and
   /// each pass runs in parallel on `WalOptions::io_pool`. Deletes are best
   /// effort (a survivor is caught by the next truncation); the call fails
-  /// only when the listing or the marker write fails. Must not be called
-  /// from an I/O-pool worker.
+  /// only when the listing or the marker write fails. A call at or below
+  /// the last successful truncation's LSN sends no request (its marker
+  /// already exists). Callers serialize truncations of one log (the
+  /// cluster's moveout lock). Must not be called from an I/O-pool worker.
   Status Truncate(uint64_t up_to_lsn);
 
   uint64_t last_lsn() const;
@@ -180,6 +182,7 @@ class WalWriter {
   uint64_t segment_ = 0;
   uint64_t segment_bytes_used_ = 0;
   uint64_t part_ = 0;
+  uint64_t truncated_lsn_ = 0;  ///< Last successful Truncate's LSN.
   WalStats stats_;
 
   struct {

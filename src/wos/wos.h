@@ -93,9 +93,12 @@ struct WosTableStats {
 ///
 /// Locking: `gate` (outer) serializes moveout/delete windows against
 /// readers; `data` (inner) protects the batch map. Cross-node mutators
-/// (moveout, DELETE) take every node's gate in node-oid order, then run
-/// {catalog commit, kFlush/kTombstone append + WAL commit} while holding
-/// them; the executor takes the same gates (same order) around its
+/// take every node's gate in node-oid order. A DELETE holds them from
+/// its snapshot through {catalog commit, kTombstone append + WAL commit}.
+/// A moveout holds them twice: to snapshot the unflushed rows (and mark
+/// the table moving), then, after building and uploading its containers
+/// ungated, for {catalog commit, kFlush append + WAL commit}. The
+/// executor takes the same gates (same order) around its
 /// {serving-catalog snapshot, CollectVisibleLocked} capture, so a query
 /// either observes the WOS entirely before the catalog commit
 /// (flush_version still 0, new containers absent from its snapshots) or
@@ -127,7 +130,7 @@ class Wos {
                                         uint64_t version) const;
 
   /// Unflushed live rows + the highest unflushed batch LSN (0 = nothing
-  /// to move out). Caller (moveout) must hold the gate.
+  /// to move out). Caller (moveout's snapshot window) must hold the gate.
   struct Unflushed {
     std::vector<Row> rows;
     uint64_t up_to_lsn = 0;

@@ -1,6 +1,7 @@
 // Unit tests for the common runtime: Status/Result, hashing, codec, SIDs,
-// JSON, RNG, clocks, thread pool, and the I/O pool's ParallelFor fan-out
-// (race-labeled: concurrent callers share one pool under TSan).
+// JSON, RNG, clocks, thread pool, the I/O pool's ParallelFor fan-out
+// (race-labeled: concurrent callers share one pool under TSan), and the
+// serial background worker.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "common/io_pool.h"
 #include "common/json.h"
 #include "common/random.h"
+#include "common/serial_worker.h"
 #include "common/result.h"
 #include "common/sid.h"
 #include "common/status.h"
@@ -602,6 +604,70 @@ TEST(IoParallelForTest, RefusesToRunOnAnIoWorker) {
   });
   Status s = nested.get_future().get();
   EXPECT_TRUE(s.IsInternal()) << s.ToString();
+}
+
+// --- SerialWorker ------------------------------------------------------
+
+TEST(SerialWorkerTest, QueuedKeyJoinsAndStartedJobDoesNot) {
+  SerialWorker worker;
+  std::promise<void> started, release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::atomic<int> runs_a{0}, runs_b{0};
+  // Job "a" blocks the thread once started, so the next "a" posts queue.
+  auto first = worker.Post("a", [&] {
+    runs_a++;
+    started.set_value();
+    gate.wait();
+    return Status::OK();
+  });
+  started.get_future().wait();
+  auto second = worker.Post("a", [&] {
+    runs_a++;
+    return Status::IOError("second");
+  });
+  auto joined = worker.Post("a", [&] {
+    runs_a += 100;  // Never runs: joins the queued job.
+    return Status::OK();
+  });
+  auto other = worker.Post("b", [&] {
+    runs_b++;
+    return Status::OK();
+  });
+  release.set_value();
+  EXPECT_TRUE(first.get().ok());
+  EXPECT_TRUE(second.get().IsIOError());
+  EXPECT_TRUE(joined.get().IsIOError());  // The job it joined.
+  EXPECT_TRUE(other.get().ok());
+  worker.Drain();
+  EXPECT_EQ(runs_a.load(), 2);
+  EXPECT_EQ(runs_b.load(), 1);
+}
+
+TEST(SerialWorkerTest, StopDropsQueuedJobsAndFinishesTheRunningOne) {
+  auto worker = std::make_unique<SerialWorker>();
+  std::promise<void> started, release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::atomic<bool> ran_queued{false};
+  auto running = worker->Post("a", [&] {
+    started.set_value();
+    gate.wait();
+    return Status::OK();
+  });
+  auto queued = worker->Post("b", [&] {
+    ran_queued = true;
+    return Status::OK();
+  });
+  started.get_future().wait();
+  std::thread stopper([&] { worker->Stop(); });
+  queued.wait();  // Dropped by Stop while "a" still runs.
+  release.set_value();
+  stopper.join();
+  EXPECT_TRUE(running.get().ok());
+  EXPECT_TRUE(queued.get().IsAborted());
+  EXPECT_FALSE(ran_queued.load());
+  EXPECT_TRUE(worker->Post("c", [] { return Status::OK(); }).get().IsAborted());
+  worker->Drain();  // Returns at once: nothing queued or running.
+  worker.reset();   // Stop again from the destructor is a no-op.
 }
 
 }  // namespace

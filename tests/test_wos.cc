@@ -9,8 +9,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <mutex>
+#include <set>
 #include <thread>
 
 #include "cluster/cluster.h"
@@ -19,6 +22,9 @@
 #include "engine/session.h"
 #include "engine/sql.h"
 #include "engine/system_tables.h"
+#include "engine/trace.h"
+#include "obs/dc.h"
+#include "obs/metrics.h"
 #include "server/session_manager.h"
 #include "storage/sim_object_store.h"
 #include "tm/tuple_mover.h"
@@ -73,13 +79,83 @@ class FailNthDataPut : public ObjectStore {
   std::vector<std::string> attempted_;
 };
 
+/// Test-local store decorator: while held, every `data/` PUT blocks until
+/// Release() — the moveout's ungated build-and-upload window, frozen.
+/// Counts every request that returned an error.
+class LatchedStore : public ObjectStore {
+ public:
+  explicit LatchedStore(ObjectStore* base) : base_(base) {}
+
+  void Hold() {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = true;
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      held_ = false;
+    }
+    cv_.notify_all();
+  }
+  /// Wait (up to 10 s) until a data PUT is blocked on the latch.
+  bool WaitUntilBlocked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [this] { return blocked_ > 0; });
+  }
+  int failed() const { return failed_.load(); }
+
+  Status Put(const std::string& key, const std::string& data) override {
+    if (key.rfind("data/", 0) == 0) {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (held_) {
+        ++blocked_;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return !held_; });
+        --blocked_;
+      }
+    }
+    return Count(base_->Put(key, data));
+  }
+  Result<std::string> Get(const std::string& key) override {
+    return Count(base_->Get(key));
+  }
+  Result<std::string> ReadRange(const std::string& key, uint64_t offset,
+                                uint64_t len) override {
+    return Count(base_->ReadRange(key, offset, len));
+  }
+  Result<std::vector<ObjectMeta>> List(const std::string& prefix) override {
+    return Count(base_->List(prefix));
+  }
+  Status Delete(const std::string& key) override {
+    return Count(base_->Delete(key));
+  }
+  ObjectStoreMetrics metrics() const override { return base_->metrics(); }
+
+ private:
+  template <typename R>
+  R Count(R r) {
+    if (!r.ok()) failed_.fetch_add(1);
+    return r;
+  }
+
+  ObjectStore* const base_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  int blocked_ = 0;
+  std::atomic<int> failed_{0};
+};
+
 /// One self-contained cluster (clock + store + nodes) so tests can stand
 /// up several side by side (WOS on vs off, width 1 vs 4). With `faulty`
-/// set the cluster talks to the store through a FailNthDataPut.
+/// set the cluster talks to the store through a FailNthDataPut, then
+/// always through a LatchedStore.
 struct Bundle {
   SimClock clock;
   std::unique_ptr<SimObjectStore> store;
   std::unique_ptr<FailNthDataPut> faulty;
+  std::unique_ptr<LatchedStore> latch;
   std::unique_ptr<EonCluster> cluster;
 };
 
@@ -97,6 +173,8 @@ std::unique_ptr<Bundle> MakeCluster(int exec_threads, int wos,
     b->faulty = std::make_unique<FailNthDataPut>(shared);
     shared = b->faulty.get();
   }
+  b->latch = std::make_unique<LatchedStore>(shared);
+  shared = b->latch.get();
 
   ClusterOptions copts;
   copts.num_shards = 2;
@@ -354,24 +432,274 @@ TEST(WosTest, DeleteAndUpdateCoverWosRows) {
   EXPECT_TRUE(RowsIdentical(before->rows, after->rows));
 }
 
-TEST(WosTest, MoveoutThresholdTriggersSynchronously) {
+TEST(WosTest, MoveoutThresholdSchedulesBackgroundMoveout) {
   auto b = MakeCluster(1, 1, /*flush_rows=*/8);
   ASSERT_NE(b, nullptr);
   const size_t containers_before = ContainerCount(b->cluster.get());
+  b->latch->Hold();
 
   // Below threshold: stays in the memtable.
   ASSERT_TRUE(InsertInto(b->cluster.get(), "t", MakeRows(0, 5)).ok());
   EXPECT_EQ(ContainerCount(b->cluster.get()), containers_before);
   EXPECT_EQ(TotalUnflushed(b->cluster.get()), 5u);
 
-  // Crossing it: the INSERT itself runs moveout before returning.
+  // Crossing it: the INSERT returns while the Tuple Mover thread's
+  // moveout is still uploading, and the rows read from the WOS.
   ASSERT_TRUE(InsertInto(b->cluster.get(), "t", MakeRows(5, 5)).ok());
+  ASSERT_TRUE(b->latch->WaitUntilBlocked());
+  EXPECT_EQ(ContainerCount(b->cluster.get()), containers_before);
+  EXPECT_EQ(TotalUnflushed(b->cluster.get()), 10u);
+  EXPECT_EQ(ScannedIds(b->cluster.get()), IdRange(10));
+
+  // Containers appear once the upload lands and the mover drains.
+  b->latch->Release();
+  b->cluster->mover()->Drain();
   EXPECT_GT(ContainerCount(b->cluster.get()), containers_before);
   EXPECT_EQ(TotalUnflushed(b->cluster.get()), 0u);
+  EXPECT_EQ(ScannedIds(b->cluster.get()), IdRange(10));
+}
 
+// An INSERT's rows are durable once its WAL commit returns, so its status
+// is that commit's: a moveout it triggers that fails must not turn it
+// into an error a client would retry (and write twice).
+TEST(WosTest, InsertSucceedsWhenTriggeredMoveoutFails) {
+  auto b = MakeCluster(1, 1, /*flush_rows=*/8, /*faulty=*/true);
+  ASSERT_NE(b, nullptr);
+  b->faulty->Arm(1);
+  auto inserted = InsertInto(b->cluster.get(), "t", MakeRows(0, 10));
+  ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+  b->cluster->mover()->Drain();
+  EXPECT_EQ(b->faulty->attempted().size(), 2u);  // The moveout did run.
+  EXPECT_EQ(TotalUnflushed(b->cluster.get()), 10u);  // And rolled back.
   auto r = RunQuery(b->cluster.get(), AggQuery());
-  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->rows[0][1].int_value(), 10);
+}
+
+// Background moveouts, and direct ones racing them, serialize from the
+// snapshot through the truncation: no log is truncated twice at once, so
+// no request fails (double DELETEs, a second marker PUT at one LSN) and
+// each node's log keeps exactly one checkpoint marker.
+TEST(WosTest, OverlappingMoveoutsTruncateEachLogOnce) {
+  auto b = MakeCluster(/*exec_threads=*/4, 1, /*flush_rows=*/16);
+  ASSERT_NE(b, nullptr);
+  EonCluster* cluster = b->cluster.get();
+  constexpr int kInserters = 4;
+  constexpr int kBatches = 30;
+  constexpr int64_t kBatchRows = 5;
+
+  std::atomic<int> inserters_left{kInserters};
+  std::atomic<int64_t> acked{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kInserters; ++w) {
+    threads.emplace_back([&, w] {
+      InsertOptions opts;
+      opts.connected_node = "n" + std::to_string(w % 3 + 1);
+      for (int i = 0; i < kBatches; ++i) {
+        const int64_t from = (w * kBatches + i) * kBatchRows;
+        auto ins = InsertInto(cluster, "t", MakeRows(from, kBatchRows), opts);
+        if (ins.ok()) {
+          acked += kBatchRows;
+        } else {
+          failures++;
+        }
+      }
+      inserters_left--;
+    });
+  }
+  for (int m = 0; m < 2; ++m) {
+    threads.emplace_back([&] {
+      while (inserters_left.load() > 0) {
+        if (!MoveoutWos(cluster, "t").ok()) failures++;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  cluster->mover()->Drain();
+  ASSERT_TRUE(MoveoutWos(cluster, "t").ok());
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(b->latch->failed(), 0);
+  EXPECT_EQ(TotalUnflushed(cluster), 0u);
+  auto r = RunQuery(cluster, AggQuery());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->rows[0][1].int_value(), acked.load());
+  EXPECT_EQ(acked.load(), kInserters * kBatches * kBatchRows);
+  for (const auto& n : cluster->nodes()) {
+    auto markers = b->store->List(n->WalPrefix() + "ckpt/");
+    ASSERT_TRUE(markers.ok());
+    EXPECT_EQ(markers->size(), 1u) << n->name();
+  }
+}
+
+// DELETE and UPDATE while a moveout sits in its ungated window (rows
+// snapshotted, containers uploading, nothing committed): each waits the
+// moveout out, so deleted rows stay deleted and updated rows appear once.
+TEST(WosTest, DeleteAndUpdateDuringUngatedMoveoutWindow) {
+  auto b = MakeCluster(/*exec_threads=*/2, 1, /*flush_rows=*/8);
+  ASSERT_NE(b, nullptr);
+  EonCluster* cluster = b->cluster.get();
+
+  // Runs `statement` on a thread while a moveout is held mid-upload;
+  // checks it waits for the moveout, then lets the moveout land.
+  auto during_moveout = [&](int64_t from, auto statement) {
+    b->latch->Hold();
+    EXPECT_TRUE(InsertInto(cluster, "t", MakeRows(from, 10)).ok());
+    EXPECT_TRUE(b->latch->WaitUntilBlocked());
+    std::atomic<bool> done{false};
+    std::thread th([&] {
+      statement();
+      done = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(done.load()) << "statement ran inside the moveout window";
+    b->latch->Release();
+    th.join();
+    cluster->mover()->Drain();
+  };
+
+  during_moveout(0, [&] {
+    auto deleted =
+        DeleteWhere(cluster, "t", Predicate::Cmp(0, CmpOp::kLt, Value::Int(3)));
+    ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+    EXPECT_EQ(*deleted, 3u);
+  });
+  during_moveout(10, [&] {
+    auto updated = UpdateWhere(
+        cluster, "t",
+        Predicate::And(Predicate::Cmp(0, CmpOp::kGe, Value::Int(5)),
+                       Predicate::Cmp(0, CmpOp::kLt, Value::Int(15))),
+        [](Row* row) { (*row)[1] = Value::Dbl(-1.0); });
+    ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+    EXPECT_EQ(*updated, 10u);
+  });
+
+  std::vector<int64_t> expected;
+  for (int64_t id = 3; id < 20; ++id) expected.push_back(id);
+  EXPECT_EQ(ScannedIds(cluster), expected);
+  QuerySpec updated_rows = FullScan();
+  updated_rows.scan.predicate = Predicate::Cmp(1, CmpOp::kEq, Value::Dbl(-1.0));
+  updated_rows.order_by = "id";
+  auto u = RunQuery(cluster, updated_rows);
+  ASSERT_TRUE(u.ok()) << u.status().ToString();
+  ASSERT_EQ(u->rows.size(), 10u);
+  for (size_t i = 0; i < u->rows.size(); ++i) {
+    EXPECT_EQ(u->rows[i][0].int_value(), static_cast<int64_t>(5 + i));
+  }
+
+  // Flush-then-query oracle.
+  QuerySpec ordered = FullScan();
+  ordered.order_by = "id";
+  auto before = RunQuery(cluster, ordered);
+  ASSERT_TRUE(MoveoutWos(cluster, "t").ok());
+  auto after = RunQuery(cluster, ordered);
+  ASSERT_TRUE(before.ok() && after.ok());
+  EXPECT_TRUE(RowsIdentical(before->rows, after->rows));
+}
+
+// Backpressure: with the moveout's upload held, INSERTs to one node block
+// once its memtable holds 4x the threshold, and resume when the moveout
+// lands. No acknowledged row is lost.
+TEST(WosTest, InsertsBlockAtBackpressureCapUntilMoveoutLands) {
+  auto b = MakeCluster(1, 1, /*flush_rows=*/8);
+  ASSERT_NE(b, nullptr);
+  EonCluster* cluster = b->cluster.get();
+  obs::Counter* waits =
+      obs::OrDefault(nullptr)->GetCounter("eon_wos_backpressure_waits_total");
+  const uint64_t waits_before = waits->Value();
+  InsertOptions on_n1;
+  on_n1.connected_node = "n1";
+
+  b->latch->Hold();
+  ASSERT_TRUE(InsertInto(cluster, "t", MakeRows(0, 8), on_n1).ok());
+  ASSERT_TRUE(b->latch->WaitUntilBlocked());
+  // 8 rows in flight + 24 more = the cap of 32; none of these waits.
+  for (int64_t from = 8; from < 32; from += 8) {
+    ASSERT_TRUE(InsertInto(cluster, "t", MakeRows(from, 8), on_n1).ok());
+  }
+  EXPECT_EQ(waits->Value(), waits_before);
+
+  std::atomic<bool> done{false};
+  Status blocked_status = Status::OK();
+  std::thread blocked([&] {
+    blocked_status = InsertInto(cluster, "t", MakeRows(32, 8), on_n1).status();
+    done = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(done.load()) << "INSERT past the cap did not wait";
+  b->latch->Release();
+  blocked.join();
+  EXPECT_TRUE(blocked_status.ok()) << blocked_status.ToString();
+  EXPECT_EQ(waits->Value(), waits_before + 1);
+
+  cluster->mover()->Drain();
+  EXPECT_EQ(ScannedIds(cluster), IdRange(40));
+}
+
+// Node lifecycle and cluster teardown with a moveout in flight (held
+// mid-upload) and another queued behind it: nothing hangs, and every
+// acknowledged row is read exactly once after the node comes back.
+TEST(WosTest, KillRestartAndTeardownWithMoveoutInFlight) {
+  InsertOptions on_n1, on_n2;
+  on_n1.connected_node = "n1";
+  on_n2.connected_node = "n2";
+
+  // Kill the node whose rows are in flight: the moveout aborts at its
+  // commit window, and the rows come back from the WAL on restart.
+  {
+    auto b = MakeCluster(1, 1, /*flush_rows=*/8);
+    ASSERT_NE(b, nullptr);
+    EonCluster* cluster = b->cluster.get();
+    Node* n1 = cluster->node_by_name("n1");
+    b->latch->Hold();
+    ASSERT_TRUE(InsertInto(cluster, "t", MakeRows(0, 10), on_n1).ok());
+    ASSERT_TRUE(b->latch->WaitUntilBlocked());
+    ASSERT_TRUE(InsertInto(cluster, "t", MakeRows(10, 10), on_n2).ok());
+    ASSERT_TRUE(cluster->KillNode(n1->oid()).ok());
+    b->latch->Release();
+    cluster->mover()->Drain();
+    ASSERT_TRUE(cluster->RestartNode(n1->oid()).ok());
+    EXPECT_EQ(ScannedIds(cluster), IdRange(20));
+    ASSERT_TRUE(MoveoutWos(cluster, "t").ok());
+    EXPECT_EQ(TotalUnflushed(cluster), 0u);
+    EXPECT_EQ(ScannedIds(cluster), IdRange(20));
+  }
+
+  // Kill and restart it inside the window: the moveout commits against
+  // the replayed memtable, whose batches its flush markers then cover.
+  {
+    auto b = MakeCluster(1, 1, /*flush_rows=*/8);
+    ASSERT_NE(b, nullptr);
+    EonCluster* cluster = b->cluster.get();
+    Node* n1 = cluster->node_by_name("n1");
+    b->latch->Hold();
+    ASSERT_TRUE(InsertInto(cluster, "t", MakeRows(0, 10), on_n1).ok());
+    ASSERT_TRUE(b->latch->WaitUntilBlocked());
+    ASSERT_TRUE(InsertInto(cluster, "t", MakeRows(10, 10), on_n2).ok());
+    ASSERT_TRUE(cluster->KillNode(n1->oid()).ok());
+    ASSERT_TRUE(cluster->RestartNode(n1->oid(), /*warm_cache=*/false).ok());
+    b->latch->Release();
+    cluster->mover()->Drain();
+    EXPECT_EQ(TotalUnflushed(cluster), 0u);
+    EXPECT_EQ(ScannedIds(cluster), IdRange(20));
+  }
+
+  // Tear the cluster down: the queued job is dropped, the running one
+  // finishes once its upload returns, and the destructor joins it.
+  {
+    auto b = MakeCluster(1, 1, /*flush_rows=*/8);
+    ASSERT_NE(b, nullptr);
+    b->latch->Hold();
+    ASSERT_TRUE(InsertInto(b->cluster.get(), "t", MakeRows(0, 10), on_n1).ok());
+    ASSERT_TRUE(b->latch->WaitUntilBlocked());
+    ASSERT_TRUE(
+        InsertInto(b->cluster.get(), "t", MakeRows(10, 10), on_n2).ok());
+    std::thread teardown([&] { b->cluster.reset(); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    b->latch->Release();
+    teardown.join();
+  }
 }
 
 TEST(WosTest, TupleMoverSweepAndSystemTables) {
@@ -775,6 +1103,91 @@ TEST(WosTest, ParallelUploadRollsBackAtEveryFailingPut) {
   EXPECT_EQ(ScannedIds(cluster), IdRange(50));
   std::printf("failure points tried: copy=%d moveout=%d\n", copy_points,
               moveout_points);
+}
+
+// The same enumeration through the background path: a threshold-crossing
+// INSERT schedules the moveout, and every failing data PUT leaves the
+// store, catalog and caches as they were, the rows unflushed and read
+// once — and the INSERT itself succeeds.
+TEST(WosTest, BackgroundMoveoutRollsBackAtEveryFailingPut) {
+  auto b = MakeCluster(/*exec_threads=*/1, /*wos=*/1, /*flush_rows=*/30,
+                       /*faulty=*/true);
+  ASSERT_NE(b, nullptr);
+  EonCluster* cluster = b->cluster.get();
+  ASSERT_TRUE(InsertInto(cluster, "t", MakeRows(0, 29)).ok());
+  int64_t next = 29;
+  int points = 0;
+  for (int k = 1;; ++k) {
+    const std::vector<std::string> keys_before = DataKeys(b->store.get());
+    const uint64_t version_before =
+        cluster->AnyUpNode()->catalog()->version();
+    b->faulty->Arm(k);
+    ASSERT_TRUE(InsertInto(cluster, "t", MakeRows(next++, 1)).ok()) << k;
+    cluster->mover()->Drain();
+    if (TotalUnflushed(cluster) == 0) {
+      EXPECT_EQ(static_cast<int>(b->faulty->attempted().size()), k - 1);
+      break;
+    }
+    EXPECT_EQ(DataKeys(b->store.get()), keys_before) << "k=" << k;
+    EXPECT_EQ(cluster->AnyUpNode()->catalog()->version(), version_before)
+        << "k=" << k;
+    for (const std::string& key : b->faulty->attempted()) {
+      for (const auto& n : cluster->nodes()) {
+        EXPECT_FALSE(n->cache()->TryGetResident(key).ok())
+            << n->name() << " still caches " << key << " (k=" << k << ")";
+      }
+    }
+    EXPECT_EQ(TotalUnflushed(cluster), static_cast<uint64_t>(next)) << k;
+    EXPECT_EQ(ScannedIds(cluster), IdRange(next)) << k;
+    ++points;
+  }
+  EXPECT_EQ(points, 2);  // Two shard containers, one PUT each.
+  EXPECT_EQ(ScannedIds(cluster), IdRange(next));
+}
+
+// Per-query accounting: the INSERT that crosses the threshold is billed
+// for its WAL PUT alone; the moveout it triggers runs under the Tuple
+// Mover's own trace. The mover's instruments read through system_metrics.
+TEST(WosTest, ThresholdCrossingInsertProfileShowsOnlyItsWalPut) {
+  auto b = MakeCluster(1, 1, /*flush_rows=*/2);
+  ASSERT_NE(b, nullptr);
+  SessionManager sessions(b->cluster.get(), nullptr, "default");
+  auto sid = sessions.Connect("n1");
+  ASSERT_TRUE(sid.ok());
+  ASSERT_TRUE(sessions.SetOption(*sid, "trace", "on").ok());
+
+  auto r = sessions.ExecuteSql(
+      *sid, "INSERT INTO t VALUES (1, 0.5), (2, 1.5), (3, 2.5);");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  b->cluster->mover()->Drain();
+  EXPECT_EQ(TotalUnflushed(b->cluster.get()), 0u);  // The moveout ran.
+
+  const uint64_t trace_id = r->profile.trace_id;
+  ASSERT_NE(trace_id, 0u);
+  EXPECT_EQ(r->profile.wal_records_appended, 1u);
+  EXPECT_EQ(r->profile.store_puts, 0u);
+  std::vector<std::string> requests;
+  for (const obs::DcStoreRequest& req :
+       obs::DataCollector::Default()->StoreRequests()) {
+    if (req.trace_id == trace_id) requests.push_back(req.op + " " + req.key);
+  }
+  ASSERT_EQ(requests.size(), 1u);
+  EXPECT_EQ(requests[0].rfind("put wal/n1/", 0), 0u) << requests[0];
+  for (const obs::SpanData& span :
+       CollectTraceSpans(b->cluster.get(), trace_id)) {
+    EXPECT_NE(span.name, "moveout");
+    EXPECT_NE(span.name, "wal_truncate");
+  }
+
+  auto metrics = MaterializeSystemTable(b->cluster.get(), "system_metrics");
+  ASSERT_TRUE(metrics.ok());
+  std::set<std::string> names;
+  for (const Row& row : *metrics) names.insert(row[0].str_value());
+  for (const char* name :
+       {"eon_moveout_gate_hold_micros", "eon_moveout_queue_wait_micros",
+        "eon_wos_backpressure_waits_total"}) {
+    EXPECT_EQ(names.count(name), 1u) << name;
+  }
 }
 
 }  // namespace
