@@ -78,8 +78,8 @@ int Run() {
       }
       if (mode == CrunchMode::kNone) sharing = 1;
       printf("%-20s %-16s %14llu %14zu %12s\n", qc.name, ModeName(mode),
-             static_cast<unsigned long long>(result->stats.scan.rows_visited),
-             sharing, result->stats.local_group_by ? "yes" : "no");
+             static_cast<unsigned long long>(result->profile.exec_rows_visited),
+             sharing, result->profile.local_group_by ? "yes" : "no");
     }
   }
   printf("# shape check: hash_filter multiplies rows visited by the "

@@ -39,7 +39,7 @@ int Run() {
     uint64_t base_visited = 0;
     MeasuredMicros base = Measure(&fixture->clock, [&] {
       auto r = session.Execute(q);
-      if (r.ok()) base_visited = r->stats.scan.rows_visited;
+      if (r.ok()) base_visited = r->profile.exec_rows_visited;
     });
 
     auto lap = CreateLiveAggregateProjection(
@@ -59,8 +59,8 @@ int Run() {
     MeasuredMicros fast = Measure(&fixture->clock, [&] {
       auto r = session.Execute(q);
       if (r.ok()) {
-        lap_visited = r->stats.scan.rows_visited;
-        used_lap = r->stats.used_live_aggregate;
+        lap_visited = r->profile.exec_rows_visited;
+        used_lap = r->profile.used_live_aggregate;
       }
     });
     if (!used_lap) {

@@ -44,7 +44,8 @@ int main() {
     return 1;
   }
   printf("dashboard session: %zu groups from %zu participating nodes\n",
-         result->rows.size(), result->stats.participating_nodes);
+         result->rows.size(),
+         static_cast<size_t>(result->profile.participating_nodes));
 
   // Verify isolation: rerun and inspect which nodes served the shards.
   auto context = BuildExecContext(cluster->get(), "dash1", 42);
@@ -92,7 +93,7 @@ int main() {
   if (!heavy_result.ok()) return 1;
   printf("\ncrunch-scaled top orders by revenue "
          "(hash-filter split, locality preserved: %s):\n",
-         heavy_result->stats.local_group_by ? "yes" : "no");
+         heavy_result->profile.local_group_by ? "yes" : "no");
   for (const Row& row : heavy_result->rows) {
     printf("  order %lld: %.2f\n",
            static_cast<long long>(row[0].int_value()), row[1].dbl_value());

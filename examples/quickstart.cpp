@@ -92,8 +92,8 @@ int main() {
     return 1;
   }
   printf("\nrevenue by customer (local group-by: %s, %zu nodes):\n",
-         result->stats.local_group_by ? "yes" : "no",
-         result->stats.participating_nodes);
+         result->profile.local_group_by ? "yes" : "no",
+         static_cast<size_t>(result->profile.participating_nodes));
   for (const Row& row : result->rows) {
     printf("  %-10s %10.2f  (%lld sales)\n", row[0].str_value().c_str(),
            row[1].dbl_value(), static_cast<long long>(row[2].int_value()));

@@ -227,6 +227,13 @@ void CatalogTxn::ExpectVersion(Oid oid, uint64_t version) {
 
 Catalog::Catalog() : state_(std::make_shared<CatalogState>()) {}
 
+void Catalog::ReplaceWith(Catalog&& other) {
+  std::scoped_lock lock(mu_, other.mu_);
+  state_ = std::move(other.state_);
+  log_ = std::move(other.log_);
+  next_oid_ = other.next_oid_;
+}
+
 std::shared_ptr<const CatalogState> Catalog::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   return state_;

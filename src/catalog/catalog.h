@@ -164,6 +164,11 @@ class Catalog {
   /// (unsubscription drop-metadata step, Figure 4). No version bump.
   Status PurgeShard(ShardId shard);
 
+  /// Take over `other`'s state, log and OID cursor in place. The object
+  /// itself stays, so a node's catalog pointer never dangles under
+  /// concurrent readers, and snapshots they hold stay valid.
+  void ReplaceWith(Catalog&& other);
+
   /// Serialize the current full state (a checkpoint, Section 2.4).
   std::string SerializeCheckpoint() const;
 

@@ -615,36 +615,33 @@ Status EonCluster::RestartNode(Oid node_oid, bool warm_cache) {
   Node* target = node(node_oid);
   if (target == nullptr) return Status::NotFound("no such node");
   if (target->is_up()) return Status::InvalidArgument("node is already up");
-  {
-    // Coming up and catching up are one step for concurrent commits: a
-    // commit that saw the node up before its catalog caught up would
-    // replicate onto a stale version, or race the catch-up into applying
-    // the same record twice.
-    std::lock_guard<std::mutex> commit_lock(commit_mu_);
-    target->MarkUp();
-    target->SetIncarnation(incarnation_);
+  // Catch up on log records missed while down (local logs survived the
+  // process termination; only the delta transfers).
+  return ComeUp(target, warm_cache, std::unique_lock<std::mutex>(commit_mu_),
+                [&] { return BringNodeUpToDate(target); });
+}
 
-    // The restarted process replays its WAL from shared storage:
-    // committed WOS rows that were lost with the old process's memory
-    // come back.
-    Status wos_recovered = target->RecoverWos();
-    if (!wos_recovered.ok()) {
-      target->MarkDown();
-      return wos_recovered;
-    }
-
-    // Catch up on log records missed while down (local logs survived the
-    // process termination; only the delta transfers).
-    Status caught_up = BringNodeUpToDate(target);
-    if (!caught_up.ok()) {
-      // "Failure to resubscribe is a critical failure ... the node goes
-      // down to ensure visibility to the administrator" (Section 6.1).
-      target->MarkDown();
-      return caught_up;
-    }
+Status EonCluster::ComeUp(Node* target, bool warm_cache,
+                          std::unique_lock<std::mutex> commit_lock,
+                          const std::function<Status()>& catch_up) {
+  // Under the commit lock, coming up and catching up are one step for
+  // concurrent commits: a commit that saw the node up before its catalog
+  // caught up would replicate onto a stale version, or race the catch-up
+  // into applying the same record twice.
+  target->MarkUp();
+  target->SetIncarnation(incarnation_);
+  // The WAL lives on shared storage: replay restores committed WOS rows
+  // lost with the old process's memory or the instance's local disk.
+  Status s = target->RecoverWos();
+  if (s.ok()) s = catch_up();
+  if (s.ok()) {
+    commit_lock.unlock();
+    s = ResubscribeNode(target, warm_cache);
   }
-  Status s = ResubscribeNode(target, warm_cache);
   if (!s.ok()) {
+    // "Failure to resubscribe is a critical failure ... the node goes
+    // down to ensure visibility to the administrator" (Section 6.1): a
+    // half-recovered node must never serve.
     target->MarkDown();
     return s;
   }
@@ -658,6 +655,9 @@ Status EonCluster::DestroyNodeInstance(Oid node_oid) {
   {
     std::unique_lock<std::mutex> gate;  // As KillNode.
     if (target->wos() != nullptr) gate = target->wos()->LockGate();
+    // No commit replicates onto the catalog being wiped. Gate before
+    // commit lock: the order moveout takes them in.
+    std::lock_guard<std::mutex> commit_lock(commit_mu_);
     target->DestroyLocalState();
   }
   CheckViabilityAndMaybeShutdown();
@@ -681,34 +681,24 @@ Status EonCluster::RecoverDestroyedNode(Oid node_oid, bool warm_cache) {
   // Rebuild metadata wholesale from a peer: instance loss loses no
   // transactions (Section 3.5). The peer checkpoint contains global
   // objects plus the peer's shards; this node's shard metadata is
-  // re-imported during re-subscription.
+  // re-imported from ACTIVE subscribers before the node comes up. The
+  // commit lock spans checkpoint through import: a commit in between
+  // would skip the still-down node and leave it a version behind.
+  std::unique_lock<std::mutex> commit_lock(commit_mu_);
   std::string ckpt = peer->catalog()->SerializeCheckpoint();
   std::set<ShardId> filter = {};  // Storage objects re-imported below.
   EON_ASSIGN_OR_RETURN(
       std::unique_ptr<Catalog> rebuilt,
       Catalog::Restore(ckpt, {}, peer->catalog()->version(), &filter));
   target->ReplaceCatalog(std::move(rebuilt));
-  target->MarkUp();
-  target->SetIncarnation(incarnation_);
-  // Any failure past MarkUp takes the node back down: a half-recovered
-  // node must never serve (Section 6.1).
-  Status s = [&]() -> Status {
-    // Instance loss wiped local disk, not the shared-storage WAL: replay
-    // restores committed-but-unflushed WOS rows.
-    EON_RETURN_IF_ERROR(target->RecoverWos());
+  return ComeUp(target, warm_cache, std::move(commit_lock), [&]() -> Status {
     for (ShardId shard : target->SubscribedShards(
              {SubscriptionState::kActive, SubscriptionState::kPassive,
               SubscriptionState::kPending, SubscriptionState::kRemoving})) {
       EON_RETURN_IF_ERROR(TransferShardMetadata(target, shard));
     }
-    return ResubscribeNode(target, warm_cache);
-  }();
-  if (!s.ok()) {
-    target->MarkDown();
-    return s;
-  }
-  CheckViabilityAndMaybeShutdown();
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 bool EonCluster::IsViable() const {

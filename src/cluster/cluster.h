@@ -2,6 +2,7 @@
 #define EON_CLUSTER_CLUSTER_H_
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -325,6 +326,14 @@ class EonCluster {
   Node* PickWarmPeer(const Node& target, ShardId shard);
   Status WarmNodeCache(Node* target);
   Status ResubscribeNode(Node* target, bool warm_cache);
+  /// Shared tail of RestartNode and RecoverDestroyedNode. The caller holds
+  /// `commit_lock` (on commit_mu_) with the node's catalog in place. Marks
+  /// the node up, replays its WAL and runs `catch_up` before any commit
+  /// can see it up, then releases the lock and re-subscribes. Any failure
+  /// past MarkUp takes the node back down.
+  Status ComeUp(Node* target, bool warm_cache,
+                std::unique_lock<std::mutex> commit_lock,
+                const std::function<Status()>& catch_up);
   void CheckViabilityAndMaybeShutdown();
 
   ObjectStore* shared_;

@@ -90,7 +90,7 @@ void Node::MarkUp() {
 }
 
 void Node::DestroyLocalState() {
-  catalog_ = std::make_unique<Catalog>();
+  catalog_->ReplaceWith(Catalog());
   cache_->Clear();
   sync_.reset();
   // Instance loss wipes the memtable with the rest of local state; the
@@ -103,7 +103,7 @@ void Node::DestroyLocalState() {
 }
 
 void Node::ReplaceCatalog(std::unique_ptr<Catalog> catalog) {
-  catalog_ = std::move(catalog);
+  catalog_->ReplaceWith(std::move(*catalog));
 }
 
 void Node::SetIncarnation(const IncarnationId& incarnation) {

@@ -229,19 +229,6 @@ struct RosScanStats {
   uint64_t values_unpacked = 0;
   /// Vectorized kernel invocations (compare / fold / hash dispatches).
   uint64_t kernel_calls = 0;
-
-  void Add(const RosScanStats& o) {
-    files_fetched += o.files_fetched;
-    bytes_fetched += o.bytes_fetched;
-    blocks_total += o.blocks_total;
-    blocks_pruned += o.blocks_pruned;
-    rows_visited += o.rows_visited;
-    rows_output += o.rows_output;
-    values_decoded += o.values_decoded;
-    fetch_wait_micros += o.fetch_wait_micros;
-    values_unpacked += o.values_unpacked;
-    kernel_calls += o.kernel_calls;
-  }
 };
 
 /// Scan a ROS container: fetches its one object, opens only the sections

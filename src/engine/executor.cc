@@ -71,21 +71,32 @@ class ExecParallel {
   uint64_t tasks_ = 0;
 };
 
-/// Scanned data of one table, partitioned by the node that produced it.
-struct ScanOutput {
-  Schema schema;                      ///< Output columns (named).
-  std::vector<std::string> names;     ///< Output column names.
+/// What one operator hands the next: rows partitioned by the node holding
+/// them, under one named schema (a scan's output, then the join's).
+struct NodeRows {
+  Schema schema;  ///< Output columns (named).
   std::map<Oid, std::vector<Row>> rows_by_node;
   /// Name of the output column equal to the projection's (single)
-  /// segmentation column, when the scan preserved row placement by its
-  /// hash — the locality token joins and group-bys test.
+  /// segmentation column, when the rows are still placed by its hash —
+  /// the locality token joins and group-bys test.
   std::string segmented_by;
   /// Store-side partial aggregates from pushed-aggregate morsels, merged
   /// per executing node in morsel order (empty when the fold stayed
-  /// local). The aggregation phase splices these into its per-node fold.
+  /// local). AggregateByNode splices these into its per-node fold.
   std::map<Oid, GroupMap> partials_by_node;
-  bool aggs_pushed = false;
 };
+
+/// Merge `from` into `into`: a key already in `into` merges its states
+/// in, a new key moves over.
+void MergeGroups(GroupMap&& from, GroupMap* into) {
+  for (auto& [key, states] : from) {
+    auto [it, inserted] = into->try_emplace(key, std::move(states));
+    if (inserted) continue;
+    for (size_t a = 0; a < it->second.size(); ++a) {
+      it->second[a].Merge(states[a]);
+    }
+  }
+}
 
 Result<const ProjectionDef*> ChooseProjection(
     const CatalogState& state, const TableDef& table,
@@ -174,15 +185,14 @@ class PhaseScope {
 /// rank) triple is an independent morsel executed on `par`; morsel results
 /// are merged in morsel-construction order, so the output is identical to
 /// the old serial nested loop at any pool width.
-Result<ScanOutput> ScanDistributed(EonCluster* cluster,
-                                   const ExecContext& context,
-                                   const CatalogState& snapshot,
-                                   const ScanSpec& spec,
-                                   const std::vector<std::string>& extra_cols,
-                                   const QuerySpec* agg_push,
-                                   ExecStats* stats,
-                                   obs::QueryProfile* profile,
-                                   ExecParallel* par) {
+Result<NodeRows> ScanDistributed(EonCluster* cluster,
+                                 const ExecContext& context,
+                                 const CatalogState& snapshot,
+                                 const ScanSpec& spec,
+                                 const std::vector<std::string>& extra_cols,
+                                 const QuerySpec* agg_push,
+                                 obs::QueryProfile* profile,
+                                 ExecParallel* par) {
   const TableDef* table = snapshot.FindTableByName(spec.table);
   if (table == nullptr) {
     return Status::NotFound("no such table: " + spec.table);
@@ -268,8 +278,7 @@ Result<ScanOutput> ScanDistributed(EonCluster* cluster,
     }
   }
 
-  ScanOutput output;
-  output.names = out_names;
+  NodeRows output;
   {
     std::vector<ColumnDef> cols;
     for (size_t pos : out_proj_cols) cols.push_back(proj_schema.column(pos));
@@ -311,12 +320,7 @@ Result<ScanOutput> ScanDistributed(EonCluster* cluster,
       if (!agg_push_ok) break;
       NdpAggSpec s;
       s.fn = a.fn;
-      if (a.column.empty()) {
-        if (a.fn != AggFn::kCount) {
-          agg_push_ok = false;
-          break;
-        }
-      } else {
+      if (!a.column.empty()) {  // Empty is COUNT(*): no input to map.
         auto it = std::find(out_names.begin(), out_names.end(), a.column);
         if (it == out_names.end()) {
           agg_push_ok = false;
@@ -457,11 +461,11 @@ Result<ScanOutput> ScanDistributed(EonCluster* cluster,
         serving_snapshots.at(sw.nodes[0]);
     for (const StorageContainerMeta* container :
          serving_snapshot->ContainersOf(proj->oid, sw.shard)) {
-      stats->containers_total++;
+      profile->containers_total++;
       // Container-level pruning via catalog min/max (Section 2.1).
       if (pred && !container->column_ranges.empty() &&
           !pred->CouldMatch(container->column_ranges)) {
-        stats->containers_pruned++;
+        profile->containers_pruned++;
         continue;
       }
       const size_t k = sw.nodes.size();
@@ -799,31 +803,28 @@ Result<ScanOutput> ScanDistributed(EonCluster* cluster,
   for (size_t i = 0; i < morsels.size(); ++i) {
     EON_RETURN_IF_ERROR(results[i].status);
     MorselResult& res = results[i];
-    stats->scan.Add(res.scan);
+    profile->exec_rows_visited += res.scan.rows_visited;
+    profile->exec_values_decoded += res.scan.values_decoded;
+    profile->exec_fetch_wait_micros += res.scan.fetch_wait_micros;
+    profile->exec_values_unpacked += res.scan.values_unpacked;
+    profile->exec_kernel_calls += res.scan.kernel_calls;
     if (res.pushed) {
-      stats->pushdown.containers_pushed++;
-      stats->pushdown.response_bytes += res.response_bytes;
-      stats->pushdown.store_bytes_scanned += res.store_bytes_scanned;
-      stats->pushdown.store_rows_filtered += res.store_rows_filtered;
-      stats->pushdown.bytes_saved += res.bytes_saved;
+      profile->pushdown_containers_pushed++;
+      profile->pushdown_response_bytes += res.response_bytes;
+      profile->pushdown_store_bytes_scanned += res.store_bytes_scanned;
+      profile->pushdown_store_rows_filtered += res.store_rows_filtered;
+      profile->pushdown_bytes_saved += res.bytes_saved;
     } else {
-      stats->pushdown.containers_local++;
+      profile->pushdown_containers_local++;
     }
     profile->rows_scanned_by_node[morsels[i].node] += res.rows_scanned;
     profile->rows_scanned_total += res.rows_scanned;
     if (res.has_partials) {
       // Aggregate pushdown: partials merge per executing node (exactly
       // mergeable by construction, so morsel order cannot change a bit).
-      output.aggs_pushed = true;
-      GroupMap& psink = output.partials_by_node[morsels[i].node];
-      for (auto& [key, states] : res.partials) {
-        auto [it, inserted] = psink.try_emplace(key, std::move(states));
-        if (!inserted) {
-          for (size_t a = 0; a < it->second.size(); ++a) {
-            it->second[a].Merge(states[a]);
-          }
-        }
-      }
+      profile->pushdown_aggregates = true;
+      MergeGroups(std::move(res.partials),
+                  &output.partials_by_node[morsels[i].node]);
       continue;
     }
     std::vector<Row>& sink = output.rows_by_node[morsels[i].node];
@@ -844,17 +845,15 @@ Result<ScanOutput> ScanDistributed(EonCluster* cluster,
 /// list per group otherwise — so int64 SUM/AVG/MIN/MAX partials run the
 /// vectorized fold kernel instead of a per-Value switch per row.
 ///
-/// Aggregates with no input column (agg_pos SIZE_MAX): COUNT folds the
-/// row count directly; any other function accumulates `*missing_input`
-/// per row, or row[0] when missing_input is null (the historical behavior
-/// of the distributed path).
+/// An aggregate with no input column (agg_pos SIZE_MAX) is COUNT(*),
+/// which folds the row count directly: ExecuteQuery rejects any other
+/// function without one.
 void FoldRowsIntoGroups(const std::vector<Row>& rows,
                         const std::vector<size_t>& group_pos,
                         const std::vector<AggSpec>& aggs,
                         const std::vector<size_t>& agg_pos,
                         const std::vector<DataType>& agg_types,
-                        const Value* missing_input, GroupMap* groups,
-                        uint64_t* kernel_calls) {
+                        GroupMap* groups, uint64_t* kernel_calls) {
   if (rows.empty()) return;
   std::map<size_t, ColumnBatch> batches;
   for (size_t a = 0; a < aggs.size(); ++a) {
@@ -868,18 +867,10 @@ void FoldRowsIntoGroups(const std::vector<Row>& rows,
     for (size_t a = 0; a < aggs.size(); ++a) {
       AggState& st = states[a];
       if (agg_pos[a] == SIZE_MAX) {
-        if (aggs[a].fn == AggFn::kCount) {
-          st.FoldCountOnly(nidx);
-        } else {
-          for (size_t i = 0; i < nidx; ++i) {
-            const size_t r = idx == nullptr ? i : idx[i];
-            st.Accumulate(aggs[a].fn,
-                          missing_input != nullptr ? *missing_input : rows[r][0]);
-          }
-        }
-        continue;
+        st.FoldCountOnly(nidx);
+      } else {
+        st.Fold(aggs[a].fn, batches.at(agg_pos[a]), idx, nidx, kernel_calls);
       }
-      st.Fold(aggs[a].fn, batches.at(agg_pos[a]), idx, nidx, kernel_calls);
     }
   };
 
@@ -903,6 +894,273 @@ void FoldRowsIntoGroups(const std::vector<Row>& rows,
         groups->try_emplace(key, std::vector<AggState>(aggs.size()));
     fold_group(it->second, idx.data(), idx.size());
   }
+}
+
+/// Inner equi-join of two scans' node-partitioned rows (Section 4). Both
+/// sides placed by the hash of their join key: every key's rows meet on
+/// one node, which joins them in place. A right side scanned from the
+/// replica shard (one node, unsegmented) is broadcast to every left node.
+/// Anything else reshuffles both sides to the coordinator (every row
+/// moves once). Output columns are the left's then the right's, a right
+/// name that collides renamed with the right table as prefix.
+Result<NodeRows> JoinByNode(NodeRows left, NodeRows right,
+                            const JoinSpec& join, Oid coord,
+                            ExecParallel* par, obs::QueryProfile* profile) {
+  Result<size_t> left_key = left.schema.IndexOf(join.left_key);
+  Result<size_t> right_key = right.schema.IndexOf(join.right_key);
+  if (!left_key.ok() || !right_key.ok()) {
+    return Status::InvalidArgument("join key not in scan output");
+  }
+  const size_t left_key_pos = *left_key;
+  const size_t right_key_pos = *right_key;
+  const bool co_located = !left.segmented_by.empty() &&
+                          left.segmented_by == join.left_key &&
+                          !right.segmented_by.empty() &&
+                          right.segmented_by == join.right_key;
+  const bool broadcast = !co_located && right.rows_by_node.size() == 1 &&
+                         right.segmented_by.empty();
+  profile->local_join = co_located;
+
+  NodeRows out;
+  if (co_located) out.segmented_by = left.segmented_by;
+  {
+    std::vector<ColumnDef> cols = left.schema.columns();
+    std::set<std::string> names_taken;
+    for (const ColumnDef& c : cols) names_taken.insert(c.name);
+    for (ColumnDef c : right.schema.columns()) {
+      if (names_taken.count(c.name)) c.name = join.right.table + "." + c.name;
+      names_taken.insert(c.name);
+      cols.push_back(std::move(c));
+    }
+    out.schema = Schema(std::move(cols));
+  }
+
+  auto hash_join = [&](const std::vector<Row>& build,
+                       const std::vector<Row>& probe, std::vector<Row>* dst) {
+    std::multimap<Value, const Row*> table;
+    for (const Row& r : build) table.emplace(r[right_key_pos], &r);
+    for (const Row& l : probe) {
+      auto [lo, hi] = table.equal_range(l[left_key_pos]);
+      for (auto it = lo; it != hi; ++it) {
+        if (l[left_key_pos].is_null()) continue;
+        Row joined = l;
+        joined.insert(joined.end(), it->second->begin(), it->second->end());
+        dst->push_back(std::move(joined));
+      }
+    }
+  };
+
+  if (!co_located && !broadcast) {
+    // Reshuffle: both sides move to the coordinator.
+    auto collect = [&](std::map<Oid, std::vector<Row>>* by_node) {
+      std::vector<Row> all;
+      for (auto& [node, rows] : *by_node) {
+        for (Row& r : rows) {
+          profile->network_bytes += RowBytes(r);
+          profile->rows_shuffled++;
+          all.push_back(std::move(r));
+        }
+      }
+      return all;
+    };
+    std::vector<Row> all_left = collect(&left.rows_by_node);
+    std::vector<Row> all_right = collect(&right.rows_by_node);
+    hash_join(all_right, all_left, &out.rows_by_node[coord]);
+    return out;
+  }
+
+  if (broadcast && !left.rows_by_node.empty()) {
+    // The single right copy ships to every left node; with no left rows
+    // anywhere it ships nowhere.
+    const std::vector<Row>& rrows = right.rows_by_node.begin()->second;
+    uint64_t rbytes = 0;
+    for (const Row& r : rrows) rbytes += RowBytes(r);
+    const size_t n = left.rows_by_node.size();
+    profile->network_bytes += rbytes * std::max<size_t>(1, n - 1);
+    profile->rows_shuffled += rrows.size() * std::max<size_t>(1, n);
+  }
+  // Per-node join bodies are independent, so each node is one pool task
+  // writing its own output slot; slots land in node order afterwards.
+  struct NodeJoin {
+    Oid node;
+    const std::vector<Row>* left;
+    const std::vector<Row>* right;
+  };
+  static const std::vector<Row> kEmpty;
+  std::vector<NodeJoin> bodies;
+  bodies.reserve(left.rows_by_node.size());
+  for (const auto& [node, lrows] : left.rows_by_node) {
+    const std::vector<Row>* rrows = &kEmpty;
+    if (broadcast) {
+      rrows = &right.rows_by_node.begin()->second;
+    } else if (auto it = right.rows_by_node.find(node);
+               it != right.rows_by_node.end()) {
+      rrows = &it->second;
+    }
+    bodies.push_back(NodeJoin{node, &lrows, rrows});
+  }
+  std::vector<std::vector<Row>> outs(bodies.size());
+  par->Run(bodies.size(), [&](size_t i) {
+    hash_join(*bodies[i].right, *bodies[i].left, &outs[i]);
+  });
+  for (size_t i = 0; i < bodies.size(); ++i) {
+    out.rows_by_node[bodies[i].node] = std::move(outs[i]);
+  }
+  return out;
+}
+
+/// Group-by / aggregate over node-partitioned rows. Each node folds its
+/// own rows into a partial GroupMap (one pool task per node), store-side
+/// partials from pushed morsels join their node's fold, and the partials
+/// merge in node order, so the result is the same at every pool width.
+/// `local` means every group's rows live on one node: partials are final
+/// and never move; otherwise each partial's transfer to the coordinator
+/// is accounted. Fills `out` with the group columns then one column per
+/// aggregate. Moves the pushed partials out of `in` and leaves its rows,
+/// which the caller frees after the query's phases are timed.
+Status AggregateByNode(NodeRows* in, const QuerySpec& spec, bool local,
+                       ExecParallel* par, obs::QueryProfile* profile,
+                       QueryResult* out) {
+  std::vector<size_t> group_pos;
+  for (const std::string& g : spec.group_by) {
+    Result<size_t> pos = in->schema.IndexOf(g);
+    if (!pos.ok()) {
+      return Status::InvalidArgument("group-by column not in output: " + g);
+    }
+    group_pos.push_back(*pos);
+  }
+  std::vector<size_t> agg_pos;
+  std::vector<DataType> agg_types;
+  for (const AggSpec& a : spec.aggregates) {
+    if (a.column.empty()) {
+      agg_pos.push_back(SIZE_MAX);
+      agg_types.push_back(DataType::kInt64);
+      continue;
+    }
+    Result<size_t> pos = in->schema.IndexOf(a.column);
+    if (!pos.ok()) {
+      return Status::InvalidArgument("aggregate column not in output: " +
+                                     a.column);
+    }
+    agg_pos.push_back(*pos);
+    agg_types.push_back(in->schema.column(*pos).type);
+  }
+  profile->local_group_by = local;
+
+  // Kernel-call counters are per-task slots, summed after the barrier, so
+  // the tasks stay write-disjoint.
+  std::vector<std::pair<Oid, const std::vector<Row>*>> node_rows;
+  node_rows.reserve(in->rows_by_node.size());
+  for (const auto& [node, rows] : in->rows_by_node) {
+    node_rows.emplace_back(node, &rows);
+  }
+  std::vector<GroupMap> partials(node_rows.size());
+  std::vector<uint64_t> partial_kernel_calls(node_rows.size(), 0);
+  par->Run(node_rows.size(), [&](size_t i) {
+    FoldRowsIntoGroups(*node_rows[i].second, group_pos, spec.aggregates,
+                       agg_pos, agg_types, &partials[i],
+                       &partial_kernel_calls[i]);
+  });
+  for (uint64_t k : partial_kernel_calls) profile->exec_kernel_calls += k;
+  // A node whose morsels ALL pushed has no row fold and enters here.
+  std::map<Oid, GroupMap> by_node;
+  for (size_t i = 0; i < node_rows.size(); ++i) {
+    by_node[node_rows[i].first] = std::move(partials[i]);
+  }
+  obs::Span partials_span;
+  if (!in->partials_by_node.empty()) {
+    partials_span = obs::StartTraceSpan("merge_partials");
+    partials_span.SetAttribute(
+        "nodes", static_cast<int64_t>(in->partials_by_node.size()));
+  }
+  for (auto& [node, pushed] : in->partials_by_node) {
+    MergeGroups(std::move(pushed), &by_node[node]);
+  }
+  partials_span.End();
+  GroupMap merged;
+  for (auto& [node, partial] : by_node) {
+    if (!local) {
+      for (const auto& [key, states] : partial) {
+        for (const AggState& s : states) {
+          profile->network_bytes += s.TransferBytes();
+        }
+      }
+    }
+    MergeGroups(std::move(partial), &merged);
+  }
+
+  std::vector<ColumnDef> cols;
+  for (size_t i = 0; i < spec.group_by.size(); ++i) {
+    ColumnDef c = in->schema.column(group_pos[i]);
+    c.name = spec.group_by[i];
+    cols.push_back(c);
+  }
+  for (size_t a = 0; a < spec.aggregates.size(); ++a) {
+    const AggSpec& spec_a = spec.aggregates[a];
+    DataType t = agg_types[a];
+    if (spec_a.fn == AggFn::kCount || spec_a.fn == AggFn::kCountDistinct) {
+      t = DataType::kInt64;
+    } else if (spec_a.fn == AggFn::kAvg) {
+      t = DataType::kDouble;
+    }
+    cols.push_back(ColumnDef{
+        spec_a.as.empty()
+            ? std::string(AggFnName(spec_a.fn)) + "(" + spec_a.column + ")"
+            : spec_a.as,
+        t});
+  }
+  out->schema = Schema(std::move(cols));
+
+  // A global aggregate (no GROUP BY) over zero input rows still yields
+  // exactly one row (COUNT = 0, SUM = NULL), per SQL semantics.
+  if (merged.empty() && spec.group_by.empty()) {
+    merged.try_emplace(GroupKey{},
+                       std::vector<AggState>(spec.aggregates.size()));
+  }
+  for (const auto& [key, states] : merged) {
+    Row row = key;
+    for (size_t a = 0; a < states.size(); ++a) {
+      row.push_back(states[a].Finalize(spec.aggregates[a].fn, agg_types[a]));
+    }
+    out->rows.push_back(std::move(row));
+  }
+  return Status::OK();
+}
+
+/// Gather every node's rows on the coordinator in node order, accounting
+/// rows produced on other nodes as network transfer.
+void Gather(NodeRows in, Oid coord, obs::QueryProfile* profile,
+            QueryResult* out) {
+  out->schema = std::move(in.schema);
+  for (auto& [node, rows] : in.rows_by_node) {
+    for (Row& r : rows) {
+      if (node != coord) profile->network_bytes += RowBytes(r);
+      out->rows.push_back(std::move(r));
+    }
+  }
+}
+
+/// ORDER BY one output column (stable), then LIMIT.
+Status OrderAndLimit(const QuerySpec& spec, QueryResult* out) {
+  if (spec.order_by) {
+    size_t pos = SIZE_MAX;
+    for (size_t i = 0; i < out->schema.num_columns(); ++i) {
+      if (out->schema.column(i).name == *spec.order_by) pos = i;
+    }
+    if (pos == SIZE_MAX) {
+      return Status::InvalidArgument("order-by column not in output: " +
+                                     *spec.order_by);
+    }
+    std::stable_sort(out->rows.begin(), out->rows.end(),
+                     [&](const Row& a, const Row& b) {
+                       int c = a[pos].Compare(b[pos]);
+                       return spec.order_desc ? c > 0 : c < 0;
+                     });
+  }
+  if (spec.limit >= 0 && out->rows.size() > static_cast<size_t>(spec.limit)) {
+    out->rows.resize(static_cast<size_t>(spec.limit));
+  }
+  return Status::OK();
 }
 
 /// Rebase a base-table predicate onto a live aggregate projection's
@@ -1044,9 +1302,10 @@ bool TryLiveAggregateRewrite(const CatalogState& state, const QuerySpec& spec,
 
 /// SELECT over a system table: materialize the full table at the
 /// initiator (MaterializeSystemTable unions per-node Data Collector rings
-/// / live state — shard pruning does not apply), then run the ordinary
-/// row-wise pipeline: filter, project, group/aggregate, order, limit.
-Result<QueryResult> ExecuteSystemQuery(EonCluster* cluster,
+/// / live state — shard pruning does not apply), filter and project it as
+/// the coordinator's one node of input, then run the same aggregate and
+/// order/limit operators as a user query.
+Result<QueryResult> ExecuteSystemQuery(EonCluster* cluster, Node* coord,
                                        const QuerySpec& spec) {
   if (spec.join) {
     return Status::NotSupported("system tables do not support joins");
@@ -1054,6 +1313,7 @@ Result<QueryResult> ExecuteSystemQuery(EonCluster* cluster,
   const Schema& table_schema = *SystemTableSchema(spec.scan.table);
 
   obs::QueryProfile profile;
+  profile.participating_nodes = cluster->nodes().size();
   // Introspection queries ride the session's trace when one is live
   // (inert otherwise): they never mint their own.
   obs::Span root = obs::StartTraceSpan("system_query");
@@ -1094,7 +1354,9 @@ Result<QueryResult> ExecuteSystemQuery(EonCluster* cluster,
 
   // Materialized rows are full-width in schema order, so the predicate's
   // table-column indexes evaluate directly against them.
-  std::vector<Row> rows;
+  NodeRows input;
+  input.schema = Schema(std::move(out_cols));
+  std::vector<Row>& rows = input.rows_by_node[coord->oid()];
   for (const Row& full : all_rows) {
     if (spec.scan.predicate && !spec.scan.predicate->Eval(full)) continue;
     Row out;
@@ -1104,119 +1366,25 @@ Result<QueryResult> ExecuteSystemQuery(EonCluster* cluster,
   }
   scan_scope.End();
 
-  Schema out_schema(std::move(out_cols));
-  std::vector<Row> final_rows;
-
+  QueryResult result;
   if (!spec.aggregates.empty() || !spec.group_by.empty()) {
     PhaseScope agg_scope(cluster->clock(), &profile,
                          obs::QueryPhase::kAggregate);
-    std::vector<size_t> group_pos;
-    for (const std::string& g : spec.group_by) {
-      auto it = std::find(out_names.begin(), out_names.end(), g);
-      if (it == out_names.end()) {
-        return Status::InvalidArgument("group-by column not in output: " + g);
-      }
-      group_pos.push_back(static_cast<size_t>(it - out_names.begin()));
-    }
-    std::vector<size_t> agg_pos;
-    std::vector<DataType> agg_types;
-    for (const AggSpec& a : spec.aggregates) {
-      if (a.column.empty()) {
-        agg_pos.push_back(SIZE_MAX);
-        agg_types.push_back(DataType::kInt64);
-        continue;
-      }
-      auto it = std::find(out_names.begin(), out_names.end(), a.column);
-      if (it == out_names.end()) {
-        return Status::InvalidArgument("aggregate column not in output: " +
-                                       a.column);
-      }
-      const size_t pos = static_cast<size_t>(it - out_names.begin());
-      agg_pos.push_back(pos);
-      agg_types.push_back(out_schema.column(pos).type);
-    }
-
-    static const Value kIgnored = Value::Int(0);  // COUNT ignores its input.
-    GroupMap groups;
-    FoldRowsIntoGroups(rows, group_pos, spec.aggregates, agg_pos, agg_types,
-                       &kIgnored, &groups, /*kernel_calls=*/nullptr);
-
-    std::vector<ColumnDef> cols;
-    for (size_t i = 0; i < spec.group_by.size(); ++i) {
-      ColumnDef c = out_schema.column(group_pos[i]);
-      c.name = spec.group_by[i];
-      cols.push_back(c);
-    }
-    for (size_t a = 0; a < spec.aggregates.size(); ++a) {
-      const AggSpec& spec_a = spec.aggregates[a];
-      DataType t;
-      switch (spec_a.fn) {
-        case AggFn::kCount:
-        case AggFn::kCountDistinct:
-          t = DataType::kInt64;
-          break;
-        case AggFn::kAvg:
-          t = DataType::kDouble;
-          break;
-        default:
-          t = agg_types[a];
-      }
-      cols.push_back(ColumnDef{
-          spec_a.as.empty()
-              ? std::string(AggFnName(spec_a.fn)) + "(" + spec_a.column + ")"
-              : spec_a.as,
-          t});
-    }
-    out_schema = Schema(std::move(cols));
-
-    if (groups.empty() && spec.group_by.empty()) {
-      groups.try_emplace(GroupKey{},
-                         std::vector<AggState>(spec.aggregates.size()));
-    }
-    for (const auto& [key, states] : groups) {
-      Row row = key;
-      for (size_t a = 0; a < states.size(); ++a) {
-        row.push_back(
-            states[a].Finalize(spec.aggregates[a].fn, agg_types[a]));
-      }
-      final_rows.push_back(std::move(row));
-    }
+    ExecParallel par(cluster->exec_pool());
+    EON_RETURN_IF_ERROR(AggregateByNode(&input, spec, /*local=*/true, &par,
+                                        &profile, &result));
   } else {
-    final_rows = std::move(rows);
+    Gather(std::move(input), coord->oid(), &profile, &result);
   }
 
   PhaseScope merge_scope(cluster->clock(), &profile, obs::QueryPhase::kMerge);
-  if (spec.order_by) {
-    size_t pos = SIZE_MAX;
-    for (size_t i = 0; i < out_schema.num_columns(); ++i) {
-      if (out_schema.column(i).name == *spec.order_by) pos = i;
-    }
-    if (pos == SIZE_MAX) {
-      return Status::InvalidArgument("order-by column not in output: " +
-                                     *spec.order_by);
-    }
-    std::stable_sort(final_rows.begin(), final_rows.end(),
-                     [&](const Row& a, const Row& b) {
-                       int c = a[pos].Compare(b[pos]);
-                       return spec.order_desc ? c > 0 : c < 0;
-                     });
-  }
-  if (spec.limit >= 0 &&
-      final_rows.size() > static_cast<size_t>(spec.limit)) {
-    final_rows.resize(static_cast<size_t>(spec.limit));
-  }
+  EON_RETURN_IF_ERROR(OrderAndLimit(spec, &result));
   merge_scope.End();
   root_scope.reset();
   root.End();
 
-  QueryResult result;
-  result.schema = std::move(out_schema);
-  result.rows = std::move(final_rows);
-  result.stats.participating_nodes = cluster->nodes().size();
   result.profile = std::move(profile);
-  Node* coord = cluster->AnyUpNode();
-  result.catalog_version =
-      coord != nullptr ? coord->catalog()->version() : 0;
+  result.catalog_version = coord->catalog()->version();
   return result;
 }
 
@@ -1301,12 +1469,21 @@ Result<QueryResult> ExecuteQuery(EonCluster* cluster,
         "cluster is shut down (viability constraints violated)");
   }
 
+  // Every aggregate but COUNT(*) folds an input column (the SQL front end
+  // always names one).
+  for (const AggSpec& a : original_spec.aggregates) {
+    if (a.fn != AggFn::kCount && a.column.empty()) {
+      return Status::InvalidArgument(std::string(AggFnName(a.fn)) +
+                                     " needs an input column");
+    }
+  }
+
   // System tables take the dedicated scan path: materialized at the
   // initiator, not sharded, never recorded into the Data Collector (so
   // introspection does not pollute its own query log).
   if (IsSystemTable(original_spec.scan.table)) {
     EON_ASSIGN_OR_RETURN(QueryResult result,
-                         ExecuteSystemQuery(cluster, original_spec));
+                         ExecuteSystemQuery(cluster, coord, original_spec));
     result.profile.queued_micros = context.queued_micros;
     result.profile.resource_pool = context.resource_pool;
     return result;
@@ -1366,10 +1543,8 @@ Result<QueryResult> ExecuteQuery(EonCluster* cluster,
     if (node != nullptr) node->RegisterQuery(snapshot->version);
   }
 
-  ExecStats stats;
-  stats.participating_nodes = guard.nodes.size();
-  stats.crunch = static_cast<ExecStats::Crunch>(context.crunch);
-  stats.used_live_aggregate = used_lap;
+  profile.participating_nodes = guard.nodes.size();
+  profile.used_live_aggregate = used_lap;
 
   // Morsel-parallel harness for the scan / join / aggregate phases. Pool
   // width 1 (ClusterOptions::exec_threads = 1 or EON_EXEC_THREADS=1) runs
@@ -1409,7 +1584,6 @@ Result<QueryResult> ExecuteQuery(EonCluster* cluster,
 
   // Cache / shared-storage baselines: the query is charged the delta over
   // its participating nodes' caches and the shared store.
-  profile.participating_nodes = guard.nodes.size();
   auto cache_totals = [&]() {
     CacheStats sum;
     for (Oid n : guard.nodes) {
@@ -1440,367 +1614,58 @@ Result<QueryResult> ExecuteQuery(EonCluster* cluster,
           ? &spec
           : nullptr;
   PhaseScope scan_scope(cluster->clock(), &profile, obs::QueryPhase::kScan);
-  EON_ASSIGN_OR_RETURN(ScanOutput left,
+  EON_ASSIGN_OR_RETURN(NodeRows data,
                        ScanDistributed(cluster, context, *snapshot, spec.scan,
-                                       left_extras, agg_push, &stats,
-                                       &profile, &par));
+                                       left_extras, agg_push, &profile, &par));
   scan_scope.End();
 
-  // Store-side partial aggregates from pushed morsels; spliced into the
-  // aggregation phase's per-node fold below.
-  std::map<Oid, GroupMap> pushed_partials = std::move(left.partials_by_node);
-  stats.pushdown.aggregates_pushed = left.aggs_pushed;
-
-  // --- Join ---
-  Schema joined_schema = left.schema;
-  std::vector<std::string> joined_names = left.names;
-  std::map<Oid, std::vector<Row>> data = std::move(left.rows_by_node);
-  std::string segmented_by = left.segmented_by;
-
   if (spec.join) {
+    // Group columns the left scan lacks ride along on the right.
     std::vector<std::string> right_extras = {spec.join->right_key};
+    const TableDef* rt = snapshot->FindTableByName(spec.join->right.table);
     for (const std::string& g : spec.group_by) {
-      const TableDef* rt = snapshot->FindTableByName(spec.join->right.table);
       if (rt != nullptr && rt->schema.IndexOf(g).ok() &&
-          std::find(left.names.begin(), left.names.end(), g) ==
-              left.names.end()) {
+          !data.schema.IndexOf(g).ok()) {
         right_extras.push_back(g);
       }
     }
     PhaseScope right_scan_scope(cluster->clock(), &profile,
                                 obs::QueryPhase::kScan);
     EON_ASSIGN_OR_RETURN(
-        ScanOutput right,
+        NodeRows right,
         ScanDistributed(cluster, context, *snapshot, spec.join->right,
-                        right_extras, /*agg_push=*/nullptr, &stats, &profile,
-                        &par));
+                        right_extras, /*agg_push=*/nullptr, &profile, &par));
     right_scan_scope.End();
     PhaseScope join_scope(cluster->clock(), &profile, obs::QueryPhase::kJoin);
-
-    size_t left_key_pos = SIZE_MAX, right_key_pos = SIZE_MAX;
-    for (size_t i = 0; i < left.names.size(); ++i) {
-      if (left.names[i] == spec.join->left_key) left_key_pos = i;
-    }
-    for (size_t i = 0; i < right.names.size(); ++i) {
-      if (right.names[i] == spec.join->right_key) right_key_pos = i;
-    }
-    if (left_key_pos == SIZE_MAX || right_key_pos == SIZE_MAX) {
-      return Status::InvalidArgument("join key not in scan output");
-    }
-
-    // Locality: both sides placed by the hash of their join key → every
-    // key's rows meet on one node; no reshuffle (Section 4).
-    const bool co_located =
-        !left.segmented_by.empty() &&
-        left.segmented_by == spec.join->left_key &&
-        ((!right.segmented_by.empty() &&
-          right.segmented_by == spec.join->right_key) ||
-         right.segmented_by == "__replicated__");
-    // Replicated right side also joins locally (full copy everywhere).
-    bool right_replicated = right.rows_by_node.size() == 1 &&
-                            right.segmented_by.empty();
-    // Heuristic: a replica-shard scan lands on exactly one node; broadcast
-    // it (cheap for dimension tables) instead of reshuffling the left.
-    stats.local_join = co_located;
-
-    // Output schema: left columns then right columns (right key and
-    // collisions renamed with the right table prefix).
-    std::set<std::string> names_taken(joined_names.begin(),
-                                      joined_names.end());
-    std::vector<std::string> right_out_names = right.names;
-    for (std::string& name : right_out_names) {
-      if (names_taken.count(name)) {
-        name = spec.join->right.table + "." + name;
-      }
-      names_taken.insert(name);
-    }
-    {
-      std::vector<ColumnDef> cols = joined_schema.columns();
-      for (size_t i = 0; i < right.schema.num_columns(); ++i) {
-        ColumnDef c = right.schema.column(i);
-        c.name = right_out_names[i];
-        cols.push_back(c);
-      }
-      joined_schema = Schema(std::move(cols));
-      joined_names.insert(joined_names.end(), right_out_names.begin(),
-                          right_out_names.end());
-    }
-
-    auto hash_join = [&](const std::vector<Row>& build,
-                         const std::vector<Row>& probe,
-                         std::vector<Row>* out) {
-      std::multimap<Value, const Row*> table;
-      for (const Row& r : build) table.emplace(r[right_key_pos], &r);
-      for (const Row& l : probe) {
-        auto [lo, hi] = table.equal_range(l[left_key_pos]);
-        for (auto it = lo; it != hi; ++it) {
-          if (l[left_key_pos].is_null()) continue;
-          Row joined = l;
-          joined.insert(joined.end(), it->second->begin(), it->second->end());
-          out->push_back(std::move(joined));
-        }
-      }
-    };
-
-    // Per-node join bodies are independent (both sides of every key are on
-    // one node), so each node is one pool task writing its own output
-    // slot; slots land in the joined map in node order afterwards.
-    std::vector<std::pair<Oid, const std::vector<Row>*>> join_sides;
-    join_sides.reserve(data.size());
-    for (auto& [node, lrows] : data) join_sides.emplace_back(node, &lrows);
-    std::vector<std::vector<Row>> join_outs(join_sides.size());
-
-    std::map<Oid, std::vector<Row>> joined;
-    if (co_located) {
-      static const std::vector<Row> kEmpty;
-      par.Run(join_sides.size(), [&](size_t i) {
-        auto rit = right.rows_by_node.find(join_sides[i].first);
-        const std::vector<Row>& rrows =
-            rit == right.rows_by_node.end() ? kEmpty : rit->second;
-        hash_join(rrows, *join_sides[i].second, &join_outs[i]);
-      });
-      for (size_t i = 0; i < join_sides.size(); ++i) {
-        joined[join_sides[i].first] = std::move(join_outs[i]);
-      }
-    } else if (right_replicated) {
-      // Broadcast join: ship the single right copy to every left node.
-      const std::vector<Row>& rrows = right.rows_by_node.begin()->second;
-      uint64_t rbytes = 0;
-      for (const Row& r : rrows) rbytes += RowBytes(r);
-      stats.network_bytes += rbytes * std::max<size_t>(1, data.size() - 1);
-      stats.rows_shuffled += rrows.size() * std::max<size_t>(1, data.size());
-      par.Run(join_sides.size(), [&](size_t i) {
-        hash_join(rrows, *join_sides[i].second, &join_outs[i]);
-      });
-      for (size_t i = 0; i < join_sides.size(); ++i) {
-        joined[join_sides[i].first] = std::move(join_outs[i]);
-      }
-      stats.local_join = false;
-    } else {
-      // Reshuffle both sides by join key (every row moves once).
-      std::vector<Row> all_left, all_right;
-      for (auto& [node, rows] : data) {
-        for (Row& r : rows) {
-          stats.network_bytes += RowBytes(r);
-          stats.rows_shuffled++;
-          all_left.push_back(std::move(r));
-        }
-      }
-      for (auto& [node, rows] : right.rows_by_node) {
-        for (Row& r : rows) {
-          stats.network_bytes += RowBytes(r);
-          stats.rows_shuffled++;
-          all_right.push_back(std::move(r));
-        }
-      }
-      hash_join(all_right, all_left, &joined[coord->oid()]);
-      stats.local_join = false;
-      segmented_by.clear();
-    }
-    data = std::move(joined);
-    if (!co_located) segmented_by.clear();
+    EON_ASSIGN_OR_RETURN(data, JoinByNode(std::move(data), std::move(right),
+                                          *spec.join, coord->oid(), &par,
+                                          &profile));
   }
 
-  // --- Group-by / aggregation ---
-  Schema out_schema = joined_schema;
-  std::vector<Row> final_rows;
-
+  QueryResult result;
   if (!spec.aggregates.empty() || !spec.group_by.empty()) {
     PhaseScope agg_scope(cluster->clock(), &profile,
                          obs::QueryPhase::kAggregate);
-    // Resolve group and aggregate column positions in the joined layout.
-    std::vector<size_t> group_pos;
-    for (const std::string& g : spec.group_by) {
-      auto it = std::find(joined_names.begin(), joined_names.end(), g);
-      if (it == joined_names.end()) {
-        return Status::InvalidArgument("group-by column not in output: " + g);
-      }
-      group_pos.push_back(static_cast<size_t>(it - joined_names.begin()));
-    }
-    std::vector<size_t> agg_pos;
-    std::vector<DataType> agg_types;
-    for (const AggSpec& a : spec.aggregates) {
-      if (a.column.empty()) {
-        agg_pos.push_back(SIZE_MAX);
-        agg_types.push_back(DataType::kInt64);
-        continue;
-      }
-      auto it = std::find(joined_names.begin(), joined_names.end(), a.column);
-      if (it == joined_names.end()) {
-        return Status::InvalidArgument("aggregate column not in output: " +
-                                       a.column);
-      }
-      const size_t pos = static_cast<size_t>(it - joined_names.begin());
-      agg_pos.push_back(pos);
-      agg_types.push_back(joined_schema.column(pos).type);
-    }
-
     // Local when the grouping keys include the column the data is
     // segmented by: every group's rows live on one node (Section 4).
     const bool local =
-        !segmented_by.empty() &&
-        std::find(spec.group_by.begin(), spec.group_by.end(), segmented_by) !=
-            spec.group_by.end();
-    stats.local_group_by = local;
-
-    GroupMap merged;
-    {
-      // One partial GroupMap per node, computed as independent pool tasks
-      // (a node's rows are self-contained), merged in node order so the
-      // result is the same at every pool width. In the local case the
-      // partials are final — groups never span nodes — and the merge is
-      // pure insertion. Kernel-call counters are per-task slots, summed
-      // after the barrier, so the tasks stay write-disjoint.
-      std::vector<std::pair<Oid, const std::vector<Row>*>> node_rows;
-      node_rows.reserve(data.size());
-      for (auto& [node, rows] : data) node_rows.emplace_back(node, &rows);
-      std::vector<GroupMap> partials(node_rows.size());
-      std::vector<uint64_t> partial_kernel_calls(node_rows.size(), 0);
-      par.Run(node_rows.size(), [&](size_t i) {
-        FoldRowsIntoGroups(*node_rows[i].second, group_pos, spec.aggregates,
-                           agg_pos, agg_types, /*missing_input=*/nullptr,
-                           &partials[i], &partial_kernel_calls[i]);
-      });
-      for (uint64_t k : partial_kernel_calls) stats.scan.kernel_calls += k;
-      // Splice in store-side partials from pushed-aggregate morsels: each
-      // joins its executing node's fold (keyed and merged per node, in
-      // node order) so transfer accounting and merge order are identical
-      // to the all-local path. A node whose morsels ALL pushed has no row
-      // fold at all and enters the map here.
-      std::map<Oid, GroupMap> by_node;
-      for (size_t i = 0; i < node_rows.size(); ++i) {
-        by_node[node_rows[i].first] = std::move(partials[i]);
-      }
-      obs::Span partials_span;
-      if (!pushed_partials.empty()) {
-        partials_span = obs::StartTraceSpan("merge_partials");
-        partials_span.SetAttribute("nodes",
-                                   (int64_t)pushed_partials.size());
-      }
-      for (auto& [node, pushed] : pushed_partials) {
-        GroupMap& sink = by_node[node];
-        for (auto& [key, states] : pushed) {
-          auto [it, inserted] = sink.try_emplace(key, std::move(states));
-          if (!inserted) {
-            for (size_t a = 0; a < it->second.size(); ++a) {
-              it->second[a].Merge(states[a]);
-            }
-          }
-        }
-      }
-      partials_span.End();
-      for (auto& [node_oid, partial] : by_node) {
-        (void)node_oid;
-        for (auto& [key, states] : partial) {
-          if (!local) {
-            // Partial-state transfer to the initiator is accounted; local
-            // group-bys never move state.
-            for (const AggState& s : states) {
-              stats.network_bytes += s.TransferBytes();
-            }
-          }
-          auto [it, inserted] = merged.try_emplace(key, std::move(states));
-          if (!inserted) {
-            for (size_t a = 0; a < it->second.size(); ++a) {
-              it->second[a].Merge(states[a]);
-            }
-          }
-        }
-      }
-    }
-
-    // Output schema: group columns then aggregates.
-    std::vector<ColumnDef> cols;
-    for (size_t i = 0; i < spec.group_by.size(); ++i) {
-      ColumnDef c = joined_schema.column(group_pos[i]);
-      c.name = spec.group_by[i];
-      cols.push_back(c);
-    }
-    for (size_t a = 0; a < spec.aggregates.size(); ++a) {
-      const AggSpec& spec_a = spec.aggregates[a];
-      DataType t;
-      switch (spec_a.fn) {
-        case AggFn::kCount:
-        case AggFn::kCountDistinct:
-          t = DataType::kInt64;
-          break;
-        case AggFn::kAvg:
-          t = DataType::kDouble;
-          break;
-        case AggFn::kSum:
-          t = agg_types[a];
-          break;
-        default:
-          t = agg_types[a];
-      }
-      cols.push_back(ColumnDef{
-          spec_a.as.empty()
-              ? std::string(AggFnName(spec_a.fn)) + "(" + spec_a.column + ")"
-              : spec_a.as,
-          t});
-    }
-    out_schema = Schema(std::move(cols));
-
-    // A global aggregate (no GROUP BY) over zero input rows still yields
-    // exactly one row (COUNT = 0, SUM = NULL), per SQL semantics.
-    if (merged.empty() && spec.group_by.empty()) {
-      merged.try_emplace(GroupKey{},
-                         std::vector<AggState>(spec.aggregates.size()));
-    }
-    for (const auto& [key, states] : merged) {
-      Row row = key;
-      for (size_t a = 0; a < states.size(); ++a) {
-        row.push_back(
-            states[a].Finalize(spec.aggregates[a].fn, agg_types[a]));
-      }
-      final_rows.push_back(std::move(row));
-    }
+        !data.segmented_by.empty() &&
+        std::find(spec.group_by.begin(), spec.group_by.end(),
+                  data.segmented_by) != spec.group_by.end();
+    EON_RETURN_IF_ERROR(
+        AggregateByNode(&data, spec, local, &par, &profile, &result));
   } else {
-    // No aggregation: gather all node outputs on the initiator (accounted
-    // as network transfer for rows produced on other nodes).
     PhaseScope gather_scope(cluster->clock(), &profile,
                             obs::QueryPhase::kMerge);
-    for (auto& [node, rows] : data) {
-      for (Row& r : rows) {
-        if (node != coord->oid()) stats.network_bytes += RowBytes(r);
-        final_rows.push_back(std::move(r));
-      }
-    }
+    Gather(std::move(data), coord->oid(), &profile, &result);
   }
 
-  // --- Order / limit ---
   PhaseScope merge_scope(cluster->clock(), &profile, obs::QueryPhase::kMerge);
-  if (spec.order_by) {
-    size_t pos = SIZE_MAX;
-    for (size_t i = 0; i < out_schema.num_columns(); ++i) {
-      if (out_schema.column(i).name == *spec.order_by) pos = i;
-    }
-    if (pos == SIZE_MAX) {
-      return Status::InvalidArgument("order-by column not in output: " +
-                                     *spec.order_by);
-    }
-    std::stable_sort(final_rows.begin(), final_rows.end(),
-                     [&](const Row& a, const Row& b) {
-                       int c = a[pos].Compare(b[pos]);
-                       return spec.order_desc ? c > 0 : c < 0;
-                     });
-  }
-  if (spec.limit >= 0 &&
-      final_rows.size() > static_cast<size_t>(spec.limit)) {
-    final_rows.resize(static_cast<size_t>(spec.limit));
-  }
+  EON_RETURN_IF_ERROR(OrderAndLimit(spec, &result));
   merge_scope.End();
 
-  // Close out the profile: pruning / network from ExecStats, cache and
-  // shared-storage activity as deltas over the query.
-  profile.containers_total = stats.containers_total;
-  profile.containers_pruned = stats.containers_pruned;
-  profile.network_bytes = stats.network_bytes;
-  profile.rows_shuffled = stats.rows_shuffled;
-  profile.exec_values_decoded = stats.scan.values_decoded;
-  profile.exec_fetch_wait_micros = stats.scan.fetch_wait_micros;
-  profile.exec_values_unpacked = stats.scan.values_unpacked;
-  profile.exec_kernel_calls = stats.scan.kernel_calls;
+  // Close out the profile: cache and shared-storage activity as deltas
+  // over the query.
   profile.exec_kernel_isa = simd::IsaName(simd::ActiveIsa());
   const CacheStats cache_after = cache_totals();
   profile.cache_hits = cache_after.hits - cache_before.hits;
@@ -1824,13 +1689,6 @@ Result<QueryResult> ExecuteQuery(EonCluster* cluster,
   profile.store_bytes_read = store_after.bytes_read - store_before.bytes_read;
   profile.store_cost_microdollars =
       store_after.cost_microdollars - store_before.cost_microdollars;
-  profile.pushdown_containers_pushed = stats.pushdown.containers_pushed;
-  profile.pushdown_containers_local = stats.pushdown.containers_local;
-  profile.pushdown_response_bytes = stats.pushdown.response_bytes;
-  profile.pushdown_store_bytes_scanned = stats.pushdown.store_bytes_scanned;
-  profile.pushdown_store_rows_filtered = stats.pushdown.store_rows_filtered;
-  profile.pushdown_bytes_saved = stats.pushdown.bytes_saved;
-  profile.pushdown_aggregates = stats.pushdown.aggregates_pushed;
   par.Flush(&profile);
   query_scope.reset();
   query_span.End();
@@ -1841,10 +1699,6 @@ Result<QueryResult> ExecuteQuery(EonCluster* cluster,
   reg->GetHistogram("eon_query_sim_micros")
       ->Observe(static_cast<double>(profile.TotalSimMicros()));
 
-  QueryResult result;
-  result.schema = std::move(out_schema);
-  result.rows = std::move(final_rows);
-  result.stats = stats;
   profile.queued_micros = context.queued_micros;
   profile.resource_pool = context.resource_pool;
   result.profile = std::move(profile);

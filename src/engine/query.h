@@ -7,7 +7,6 @@
 
 #include "columnar/agg.h"
 #include "columnar/expression.h"
-#include "columnar/ros.h"
 #include "columnar/schema.h"
 #include "obs/profile.h"
 
@@ -53,47 +52,12 @@ struct QuerySpec {
   int64_t limit = -1;  ///< -1 = unlimited.
 };
 
-/// Per-query execution statistics: the inputs to the benches' cost model
-/// and the locality assertions in tests.
-struct ExecStats {
-  RosScanStats scan;
-  uint64_t containers_total = 0;
-  uint64_t containers_pruned = 0;  ///< Skipped via container-level min/max.
-  uint64_t network_bytes = 0;      ///< Shuffled / merged across nodes.
-  uint64_t rows_shuffled = 0;
-  bool local_join = true;      ///< Join executed without reshuffle.
-  bool local_group_by = true;  ///< Group-by executed without reshuffle.
-  size_t participating_nodes = 0;
-  /// Crunch scaling mode actually used (Section 4.4).
-  enum class Crunch : uint8_t { kNone, kHashFilter, kContainerSplit };
-  Crunch crunch = Crunch::kNone;
-  /// The optimizer answered from a live aggregate projection (§2.1).
-  bool used_live_aggregate = false;
-  /// Near-data processing: per-morsel outcome of the pushdown planner and
-  /// what the store-side scans did (tentpole of the NDP change).
-  struct PushdownStats {
-    uint64_t containers_pushed = 0;  ///< Morsels executed via ScanObject.
-    uint64_t containers_local = 0;   ///< Morsels scanned through the cache.
-    uint64_t response_bytes = 0;     ///< Bytes the store actually returned.
-    /// Column-file bytes the store read next to the data (never shipped).
-    uint64_t store_bytes_scanned = 0;
-    /// Rows the store-side predicate dropped before the network.
-    uint64_t store_rows_filtered = 0;
-    /// Planner's estimate of the cold fetch bytes the push avoided.
-    uint64_t bytes_saved = 0;
-    /// True when group-by/aggregate partials were computed store-side.
-    bool aggregates_pushed = false;
-  } pushdown;
-};
-
-/// Query output: schema + rows + stats + the catalog version it read.
+/// Query output: schema + rows + profile + the catalog version it read.
 struct QueryResult {
   Schema schema;
   std::vector<Row> rows;
-  ExecStats stats;
-  /// Per-phase timing, per-node scan rows, cache/store deltas attributed
-  /// to this query (obs subsystem). ExecStats remains the planner-facing
-  /// locality record; the profile is the operator-facing cost record.
+  /// The query's one stats record: per-phase timing, per-node scan rows,
+  /// locality choices, cache/store deltas attributed to this query.
   obs::QueryProfile profile;
   uint64_t catalog_version = 0;
 };

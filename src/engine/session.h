@@ -39,10 +39,7 @@ class EonSession {
   /// context's participating nodes before running (admission control).
   Result<QueryResult> ExecuteWithContext(const QuerySpec& spec,
                                          const ExecContext& context) {
-    EON_ASSIGN_OR_RETURN(QueryResult result,
-                         ExecuteQuery(cluster_, spec, context));
-    last_stats_ = result.stats;
-    return result;
+    return ExecuteQuery(cluster_, spec, context);
   }
 
   /// Execute a query; participation is re-selected per call.
@@ -55,7 +52,6 @@ class EonSession {
   /// more nodes than shards are available.
   void set_crunch_mode(CrunchMode mode) { crunch_ = mode; }
 
-  const ExecStats& last_stats() const { return last_stats_; }
   EonCluster* cluster() { return cluster_; }
   const std::string& connected_node() const { return connected_node_; }
   CrunchMode crunch_mode() const { return crunch_; }
@@ -69,7 +65,6 @@ class EonSession {
   uint64_t seed_;
   uint64_t sequence_ = 0;
   CrunchMode crunch_ = CrunchMode::kNone;
-  ExecStats last_stats_;
 };
 
 }  // namespace eon

@@ -76,9 +76,16 @@ struct QueryProfile {
   int64_t wal_commit_wait_micros = 0;  ///< Group-commit wait (durability).
   bool wal_led_group = false;  ///< This statement was the flush leader.
 
-  uint64_t network_bytes = 0;
+  uint64_t network_bytes = 0;  ///< Shuffled / merged across nodes.
   uint64_t rows_shuffled = 0;
   uint64_t participating_nodes = 0;
+
+  // Planner locality choices (Section 4): the join / group-by ran without
+  // moving rows, and the optimizer answered from a live aggregate
+  // projection (Section 2.1).
+  bool local_join = true;
+  bool local_group_by = true;
+  bool used_live_aggregate = false;
 
   /// Admission-control wait before execution began and the resource pool
   /// that admitted the query (0 / "" when it bypassed the serving layer).
@@ -98,6 +105,10 @@ struct QueryProfile {
   /// Busiest lane's CPU: the parallel phases' critical path. Equals
   /// exec_task_cpu_micros when exec_threads == 1.
   int64_t exec_critical_cpu_micros = 0;
+  /// Rows the container scans visited, before predicates and delete
+  /// vectors (RosScanStats::rows_visited rollup); rows_scanned_total
+  /// counts the rows the scans emitted.
+  uint64_t exec_rows_visited = 0;
   /// Late-materialization decode counter (RosScanStats rollup): values
   /// parsed or materialized during scans.
   uint64_t exec_values_decoded = 0;

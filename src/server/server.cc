@@ -55,17 +55,16 @@ JsonValue EncodeResult(const QueryResult& result, int64_t queued_micros,
     rows.Append(std::move(out));
   }
   r.Set("rows", std::move(rows));
+  const obs::QueryProfile& p = result.profile;
   JsonValue stats = JsonValue::Object();
   stats.Set("participating_nodes",
-            JsonValue::Int(static_cast<int64_t>(
-                result.stats.participating_nodes)));
+            JsonValue::Int(static_cast<int64_t>(p.participating_nodes)));
   stats.Set("rows_scanned",
-            JsonValue::Int(static_cast<int64_t>(
-                result.stats.scan.rows_visited)));
+            JsonValue::Int(static_cast<int64_t>(p.rows_scanned_total)));
   stats.Set("rows_shuffled",
-            JsonValue::Int(static_cast<int64_t>(result.stats.rows_shuffled)));
+            JsonValue::Int(static_cast<int64_t>(p.rows_shuffled)));
   stats.Set("network_bytes",
-            JsonValue::Int(static_cast<int64_t>(result.stats.network_bytes)));
+            JsonValue::Int(static_cast<int64_t>(p.network_bytes)));
   r.Set("stats", std::move(stats));
   r.Set("queued_micros", JsonValue::Int(queued_micros));
   r.Set("pool", JsonValue::Str(pool));

@@ -441,6 +441,46 @@ void ExpectSameRows(const WireQueryResult& wire, const QueryResult& direct) {
   }
 }
 
+// The wire `stats` object is a view of the query's profile: for a user
+// query and a system-table query alike, all four fields equal what a
+// direct run reports. The direct session uses the seed the manager gives
+// its first session (id 1), so both pick the same participation.
+TEST_F(ServerTest, WireStatsMatchTheQueryProfile) {
+  EonServer server(cluster_.get());
+  EonClient client(server.ConnectInProcess());
+  ASSERT_TRUE(client.Hello().ok());
+  EonSession seeded(cluster_.get(), "", 1 * 7919);
+  // part is replicated, so the join broadcasts it: rows move.
+  const std::string user_sql =
+      "SELECT l_partkey, COUNT(*) AS n FROM lineitem JOIN part ON "
+      "l_partkey = p_partkey GROUP BY l_partkey ORDER BY l_partkey LIMIT 10";
+  const std::string system_sql = "SELECT name, state FROM system_subscriptions";
+  for (const std::string& sql : {user_sql, system_sql}) {
+    SCOPED_TRACE(sql);
+    auto wire = client.Query(sql);
+    ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+    auto spec = ParseSelect(*cluster_->AnyUpNode()->catalog()->snapshot(), sql);
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    auto direct = seeded.Execute(*spec);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    ExpectSameRows(*wire, *direct);
+    const obs::QueryProfile& p = direct->profile;
+    EXPECT_EQ(wire->participating_nodes, p.participating_nodes);
+    EXPECT_EQ(wire->rows_scanned, p.rows_scanned_total);
+    EXPECT_EQ(wire->rows_shuffled, p.rows_shuffled);
+    EXPECT_EQ(wire->network_bytes, p.network_bytes);
+    EXPECT_EQ(wire->participating_nodes, 3u);
+    EXPECT_GT(wire->rows_scanned, 0u);
+    if (sql == user_sql) {
+      EXPECT_GT(wire->rows_shuffled, 0u);
+      EXPECT_GT(wire->network_bytes, 0u);
+    } else {
+      EXPECT_EQ(wire->rows_shuffled, 0u);
+      EXPECT_EQ(wire->network_bytes, 0u);
+    }
+  }
+}
+
 TEST_F(ServerTest, WireProtocolEndToEnd) {
   EonServer server(cluster_.get());
   EonClient client(server.ConnectInProcess());
@@ -458,7 +498,7 @@ TEST_F(ServerTest, WireProtocolEndToEnd) {
   auto direct = RunDirect(sql);
   ASSERT_TRUE(direct.ok());
   ExpectSameRows(*wire, *direct);
-  EXPECT_EQ(wire->participating_nodes, direct->stats.participating_nodes);
+  EXPECT_EQ(wire->participating_nodes, direct->profile.participating_nodes);
   EXPECT_EQ(wire->pool, "general");
 
   // Prepared statements: parse once, execute many, identical rows.

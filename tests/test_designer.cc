@@ -66,7 +66,7 @@ TEST_F(DesignerTest, AddProjectionBackfillsAndServes) {
   q.aggregates = {{AggFn::kSum, "l_extendedprice", "rev"}};
   auto result = session.Execute(q);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->stats.local_group_by);
+  EXPECT_TRUE(result->profile.local_group_by);
 }
 
 TEST_F(DesignerTest, AddProjectionPicksUpSubsequentLoads) {

@@ -128,7 +128,7 @@ TEST_F(EngineTest, SecondProjectionServesNarrowQuery) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->rows.size(), 4u);
   // Group key == segmentation column of sales_bycust: fully local.
-  EXPECT_TRUE(result->stats.local_group_by);
+  EXPECT_TRUE(result->profile.local_group_by);
 }
 
 TEST_F(EngineTest, GroupByNonSegmentedColumnMergesPartials) {
@@ -144,8 +144,8 @@ TEST_F(EngineTest, GroupByNonSegmentedColumnMergesPartials) {
   auto result = session.Execute(q);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->rows.size(), 10u);
-  EXPECT_FALSE(result->stats.local_group_by);
-  EXPECT_GT(result->stats.network_bytes, 0u);
+  EXPECT_FALSE(result->profile.local_group_by);
+  EXPECT_GT(result->profile.network_bytes, 0u);
   // Counts still correct after the partial-merge path.
   int64_t total = 0;
   for (const Row& r : result->rows) total += r[2].int_value();
@@ -165,9 +165,9 @@ TEST_F(EngineTest, PartitionPruningSkipsContainers) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->rows[0][0].int_value(), 50);
   // 10 day-partitions per shard: 9/10 of containers pruned via min/max.
-  EXPECT_GT(result->stats.containers_pruned, 0u);
-  EXPECT_GE(result->stats.containers_pruned * 10,
-            result->stats.containers_total * 8);
+  EXPECT_GT(result->profile.containers_pruned, 0u);
+  EXPECT_GE(result->profile.containers_pruned * 10,
+            result->profile.containers_total * 8);
 }
 
 TEST_F(EngineTest, OrderByAndLimit) {
@@ -263,14 +263,14 @@ TEST_F(EngineTest, CrunchHashFilterPreservesGroupLocality) {
   session.set_crunch_mode(CrunchMode::kHashFilter);
   auto hf = session.Execute(q);
   ASSERT_TRUE(hf.ok());
-  EXPECT_TRUE(hf->stats.local_group_by);
+  EXPECT_TRUE(hf->profile.local_group_by);
 
   // Container split loses the segmentation property (Section 4.4): the
   // group-by must reshuffle.
   session.set_crunch_mode(CrunchMode::kContainerSplit);
   auto cs = session.Execute(q);
   ASSERT_TRUE(cs.ok());
-  EXPECT_FALSE(cs->stats.local_group_by);
+  EXPECT_FALSE(cs->profile.local_group_by);
 }
 
 TEST_F(EngineTest, AddColumnOccRetry) {

@@ -180,6 +180,29 @@ TEST_F(EngineEdgeTest, JoinWithEmptySide) {
   EXPECT_TRUE(result->rows.empty());  // Inner join with empty right side.
 }
 
+// A replicated right side is broadcast to the nodes holding left rows:
+// with none, nothing moves (the transfer used to wrap around to ~2^64).
+TEST_F(EngineEdgeTest, BroadcastJoinWithEmptyLeftMovesNothing) {
+  Schema dim({{"k", DataType::kInt64}, {"name", DataType::kString}});
+  ASSERT_TRUE(CreateTable(cluster_.get(), "dim_r", dim, std::nullopt,
+                          {ProjectionSpec{"dim_r_p", {}, {"k"}, {}}})
+                  .ok());
+  ASSERT_TRUE(CopyInto(cluster_.get(), "dim_r",
+                       {{Value::Int(1), Value::Str("a")},
+                        {Value::Int(2), Value::Str("b")}})
+                  .ok());
+  QuerySpec q;
+  q.scan.table = "t";
+  q.scan.columns = {"k", "val"};
+  q.join = JoinSpec{{"dim_r", {"name"}, nullptr}, "k", "k"};
+  auto result = Run(q);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->rows.empty());
+  EXPECT_FALSE(result->profile.local_join);
+  EXPECT_EQ(result->profile.network_bytes, 0u);
+  EXPECT_EQ(result->profile.rows_shuffled, 0u);
+}
+
 TEST_F(EngineEdgeTest, DuplicateJoinKeysFanOut) {
   Schema dim({{"k", DataType::kInt64}, {"name", DataType::kString}});
   ASSERT_TRUE(CreateTable(cluster_.get(), "dim2", dim, std::nullopt,

@@ -100,8 +100,8 @@ TEST_F(IntegrationTest, CoSegmentedJoinIsLocal) {
   auto result = session.Execute(dash);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // lineitem HASH(l_orderkey) ⋈ orders HASH(o_orderkey): no reshuffle.
-  EXPECT_TRUE(result->stats.local_join);
-  EXPECT_EQ(result->stats.rows_shuffled, 0u);
+  EXPECT_TRUE(result->profile.local_join);
+  EXPECT_EQ(result->profile.rows_shuffled, 0u);
 }
 
 TEST_F(IntegrationTest, JoinResultMatchesReference) {

@@ -82,7 +82,7 @@ TEST_F(LiveAggregateTest, BackfillsExistingData) {
   EonSession session(cluster_.get());
   auto result = session.Execute(RegionTotals());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(result->stats.used_live_aggregate);
+  EXPECT_TRUE(result->profile.used_live_aggregate);
   ASSERT_EQ(result->rows.size(), 3u);
   // count per region: 100 each.
   for (const Row& r : result->rows) {
@@ -103,13 +103,13 @@ TEST_F(LiveAggregateTest, MaintainedAcrossLoadsAndMatchesBase) {
   QuerySpec via_lap = RegionTotals();
   auto lap_result = session.Execute(via_lap);
   ASSERT_TRUE(lap_result.ok());
-  EXPECT_TRUE(lap_result->stats.used_live_aggregate);
+  EXPECT_TRUE(lap_result->profile.used_live_aggregate);
 
   QuerySpec via_base = RegionTotals();
   via_base.aggregates.push_back({AggFn::kMin, "amount", "lo"});
   auto base_result = session.Execute(via_base);
   ASSERT_TRUE(base_result.ok());
-  EXPECT_FALSE(base_result->stats.used_live_aggregate);
+  EXPECT_FALSE(base_result->profile.used_live_aggregate);
 
   ASSERT_EQ(lap_result->rows.size(), base_result->rows.size());
   for (size_t i = 0; i < lap_result->rows.size(); ++i) {
@@ -131,9 +131,9 @@ TEST_F(LiveAggregateTest, ReadsFarFewerRows) {
   EonSession session(cluster_.get());
   auto fast = session.Execute(RegionTotals());
   ASSERT_TRUE(fast.ok());
-  ASSERT_TRUE(fast->stats.used_live_aggregate);
+  ASSERT_TRUE(fast->profile.used_live_aggregate);
   // 2000 base rows vs 3 groups worth of partials.
-  EXPECT_LT(fast->stats.scan.rows_visited, 50u);
+  EXPECT_LT(fast->profile.exec_rows_visited, 50u);
 }
 
 TEST_F(LiveAggregateTest, PredicateOnGroupColumnStillRewrites) {
@@ -144,7 +144,7 @@ TEST_F(LiveAggregateTest, PredicateOnGroupColumnStillRewrites) {
   q.scan.predicate = Predicate::Cmp(0, CmpOp::kEq, Value::Str("east"));
   auto result = session.Execute(q);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->stats.used_live_aggregate);
+  EXPECT_TRUE(result->profile.used_live_aggregate);
   ASSERT_EQ(result->rows.size(), 1u);
   EXPECT_EQ(result->rows[0][1].int_value(), 100);
 }
@@ -157,7 +157,7 @@ TEST_F(LiveAggregateTest, NonGroupPredicateFallsBackToBase) {
   q.scan.predicate = Predicate::Cmp(1, CmpOp::kEq, Value::Int(2));  // kind.
   auto result = session.Execute(q);
   ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(result->stats.used_live_aggregate);
+  EXPECT_FALSE(result->profile.used_live_aggregate);
   // 60 kind==2 rows spread over 3 region groups.
   int64_t total = 0;
   for (const Row& r : result->rows) total += r[1].int_value();
@@ -206,7 +206,7 @@ TEST_F(LiveAggregateTest, SurvivesNodeFailure) {
   EonSession session(cluster_.get());
   auto result = session.Execute(RegionTotals());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(result->stats.used_live_aggregate);
+  EXPECT_TRUE(result->profile.used_live_aggregate);
   EXPECT_EQ(result->rows.size(), 3u);
 }
 

@@ -697,7 +697,8 @@ TEST_F(ProfileIntegrationTest, ExecuteQueryPopulatesProfile) {
   uint64_t by_node_sum = 0;
   for (const auto& [node, rows] : p.rows_scanned_by_node) by_node_sum += rows;
   EXPECT_EQ(by_node_sum, p.rows_scanned_total);
-  EXPECT_EQ(p.participating_nodes, result->stats.participating_nodes);
+  EXPECT_GT(p.participating_nodes, 0u);
+  EXPECT_LE(p.rows_scanned_by_node.size(), p.participating_nodes);
   EXPECT_GT(p.containers_total, 0u);
   // First execution reads cold caches through the simulated S3: misses,
   // fill bytes, GET requests, dollars and sim time all accounted.

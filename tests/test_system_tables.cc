@@ -292,6 +292,35 @@ TEST_F(SystemTablesTest, SystemTableJoinsRejected) {
   EXPECT_TRUE(spec.status().IsNotSupported());
 }
 
+// System-table queries share the user path's aggregate operator: a
+// global aggregate over zero matching rows still yields exactly one row.
+TEST_F(SystemTablesTest, GlobalAggregateOverNoRowsYieldsOneRow) {
+  auto result = Run(
+      "SELECT COUNT(*) AS n, MIN(shard) AS lo, AVG(shard) AS mean "
+      "FROM system_subscriptions WHERE name = 'no_such_node'");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->rows.size(), 1u);
+  ASSERT_EQ(result->rows[0].size(), 3u);
+  EXPECT_EQ(result->rows[0][0].int_value(), 0);
+  EXPECT_TRUE(result->rows[0][1].is_null());
+  EXPECT_TRUE(result->rows[0][2].is_null());
+  EXPECT_EQ(result->schema.column(2).type, DataType::kDouble);
+}
+
+// A non-COUNT aggregate with no input column is not a query SQL can
+// express; planning rejects it on user and system tables alike.
+TEST_F(SystemTablesTest, AggregateWithoutInputColumnRejected) {
+  for (const std::string table : {"customer", "system_nodes"}) {
+    QuerySpec spec;
+    spec.scan.table = table;
+    spec.aggregates = {{AggFn::kSum, "", "s"}};
+    EonSession session(cluster_.get());
+    auto result = session.Execute(spec);
+    EXPECT_TRUE(result.status().IsInvalidArgument())
+        << table << ": " << result.status().ToString();
+  }
+}
+
 TEST_F(SystemTablesTest, UnknownColumnAndTableErrors) {
   const CatalogState& state = *cluster_->AnyUpNode()->catalog()->snapshot();
   EXPECT_FALSE(ParseSelect(state, "SELECT nope FROM system_nodes").ok());
