@@ -43,11 +43,26 @@ Node::Node(Oid oid, std::string name, std::string subcluster,
   }
 }
 
+NodeInstanceId Node::instance_id() const {
+  std::lock_guard<std::mutex> lock(instance_mu_);
+  return instance_id_;
+}
+
 std::string Node::MintStorageKey(const std::string& prefix) {
   StorageId sid;
-  sid.instance = instance_id_;
-  sid.local_id = catalog_->NextOid();
+  {
+    std::lock_guard<std::mutex> lock(instance_mu_);
+    sid.instance = instance_id_;
+    sid.local_id = catalog_->NextOid();
+  }
   return prefix + sid.ToString();
+}
+
+void Node::RotateInstanceIdLocked() {
+  // A fresh process (or a wiped disk) gets a fresh strongly random
+  // instance id, preserving SID uniqueness (Figure 7 discussion).
+  seed_ = Mix64(seed_ + 0x517CC1B727220A95ULL);
+  instance_id_ = NodeInstanceId::Generate(seed_, oid_);
 }
 
 std::set<ShardId> Node::SubscribedShards(
@@ -81,16 +96,22 @@ void Node::MarkDown() {
 }
 
 void Node::MarkUp() {
-  // A fresh process gets a fresh strongly random instance id, preserving
-  // SID uniqueness across restarts (Figure 7 discussion).
-  seed_ = Mix64(seed_ + 0x517CC1B727220A95ULL);
-  instance_id_ = NodeInstanceId::Generate(seed_, oid_);
+  {
+    std::lock_guard<std::mutex> lock(instance_mu_);
+    RotateInstanceIdLocked();
+  }
   up_ = true;
   up_gauge_->Set(1);
 }
 
 void Node::DestroyLocalState() {
-  catalog_->ReplaceWith(Catalog());
+  {
+    // The wiped catalog restarts NextOid at 1: keys minted from here on
+    // must not reuse the old instance id, or they could repeat its keys.
+    std::lock_guard<std::mutex> lock(instance_mu_);
+    RotateInstanceIdLocked();
+    catalog_->ReplaceWith(Catalog());
+  }
   cache_->Clear();
   sync_.reset();
   // Instance loss wipes the memtable with the rest of local state; the

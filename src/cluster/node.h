@@ -98,11 +98,13 @@ class Node {
   /// the log.
   std::string WalPrefix() const { return "wal/" + name_ + "/"; }
 
-  const NodeInstanceId& instance_id() const { return instance_id_; }
+  NodeInstanceId instance_id() const;
 
   /// Mint a globally unique storage key under `prefix` ("data/", "dv/").
   /// SID = node instance id + local catalog oid (Figure 7): no
   /// coordination with other nodes, no collisions in the flat namespace.
+  /// The pair is read atomically against instance changes: a catalog
+  /// wipe restarts the local oids, and it draws a fresh instance id first.
   std::string MintStorageKey(const std::string& prefix);
 
   /// Shards this node subscribes to in any of `states` (its own catalog's
@@ -119,7 +121,8 @@ class Node {
   void MarkDown();
   /// Process restart: new instance id; catalog (local disk) intact.
   void MarkUp();
-  /// Instance loss: local disk wiped; fresh empty catalog and cold cache.
+  /// Instance loss: local disk wiped; fresh empty catalog and cold cache,
+  /// under a fresh instance id (the wiped catalog restarts its oids).
   void DestroyLocalState();
   /// Replace the catalog wholesale (metadata rebuild from peer / revive).
   void ReplaceCatalog(std::unique_ptr<Catalog> catalog);
@@ -142,14 +145,20 @@ class Node {
   uint64_t MinRunningQueryVersion() const;
 
  private:
+  /// Draws the next instance id from seed_. Caller holds instance_mu_.
+  void RotateInstanceIdLocked();
+
   const Oid oid_;
   const std::string name_;
   const std::string subcluster_;
   ObjectStore* shared_;
   Clock* clock_;
   const NodeOptions options_;
-  uint64_t seed_;
 
+  /// Guards seed_ and instance_id_, and makes MintStorageKey's
+  /// (instance id, catalog oid) read one step against DestroyLocalState.
+  mutable std::mutex instance_mu_;
+  uint64_t seed_;
   NodeInstanceId instance_id_;
   std::unique_ptr<Catalog> catalog_;
   std::unique_ptr<obs::DataCollector> dc_;  ///< Before cache_: cache records into it.

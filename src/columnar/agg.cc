@@ -92,8 +92,35 @@ void AggState::Fold(AggFn fn, const ColumnBatch& batch, const uint32_t* idx,
         return;
     }
   }
-  // Doubles (order-sensitive in IEEE arithmetic), strings, and COUNT
-  // DISTINCT accumulate per value in ascending row order.
+  if (batch.type() == DataType::kDouble &&
+      (fn == AggFn::kSum || fn == AggFn::kAvg || fn == AggFn::kMin ||
+       fn == AggFn::kMax)) {
+    // Doubles are order-sensitive in IEEE arithmetic: one addition or
+    // comparison per value in ascending row order, exactly as Accumulate
+    // would do it, without building a Value per row.
+    const double* d = batch.dbls();
+    const bool summing = fn == AggFn::kSum || fn == AggFn::kAvg;
+    Value& extreme = fn == AggFn::kMin ? min : max;
+    bool have = !extreme.is_null();
+    double best = have ? extreme.dbl_value() : 0.0;
+    bool moved = false;
+    for (size_t i = 0; i < nidx; ++i) {
+      const size_t r = idx == nullptr ? i : idx[i];
+      if (batch.IsNull(r)) continue;
+      if (summing) {
+        count++;
+        sum_is_int = false;
+        sum += d[r];
+      } else if (!have || (fn == AggFn::kMin ? d[r] < best : d[r] > best)) {
+        best = d[r];
+        have = moved = true;
+      }
+    }
+    if (moved) extreme = Value::Dbl(best);
+    return;
+  }
+  // Strings and COUNT DISTINCT accumulate per value in ascending row
+  // order.
   for (size_t i = 0; i < nidx; ++i) {
     const size_t r = idx == nullptr ? i : idx[i];
     Accumulate(fn, batch.GetValue(r));

@@ -12,14 +12,6 @@ ColumnBatch ColumnBatch::FromValues(DataType type,
   return b;
 }
 
-ColumnBatch ColumnBatch::FromRows(const std::vector<Row>& rows, size_t col,
-                                  DataType type) {
-  ColumnBatch b(type);
-  b.Reserve(rows.size());
-  for (const Row& row : rows) b.AppendValue(row[col]);
-  return b;
-}
-
 void ColumnBatch::Reset(DataType type) {
   type_ = type;
   size_ = 0;
@@ -30,15 +22,20 @@ void ColumnBatch::Reset(DataType type) {
 }
 
 void ColumnBatch::Reserve(size_t n) {
+  // Amortized: blockwise appends reserve block by block, and an exact
+  // reserve per block would reallocate on every one.
+  auto grow = [n](auto& v) {
+    if (n > v.capacity()) v.reserve(std::max(n, 2 * v.capacity()));
+  };
   switch (type_) {
     case DataType::kInt64:
-      ints_.reserve(n);
+      grow(ints_);
       break;
     case DataType::kDouble:
-      dbls_.reserve(n);
+      grow(dbls_);
       break;
     case DataType::kString:
-      strs_.reserve(n);
+      grow(strs_);
       break;
   }
 }
@@ -126,6 +123,114 @@ Value ColumnBatch::GetValue(size_t i) const {
       return Value::Str(strs_[i]);
   }
   return Value::Null(type_);
+}
+
+uint64_t ColumnBatch::WireBytes() const {
+  uint64_t bytes = size_;  // One null/type tag per row.
+  if (type_ != DataType::kString) {
+    size_t nulls = 0;
+    if (!valid_.empty()) {
+      for (size_t i = 0; i < size_; ++i) nulls += IsNull(i) ? 1 : 0;
+    }
+    return bytes + 8 * (size_ - nulls);
+  }
+  for (size_t i = 0; i < size_; ++i) {
+    if (!IsNull(i)) bytes += strs_[i].size() + 4;
+  }
+  return bytes;
+}
+
+template <typename At>
+void ColumnBatch::AppendRows(const ColumnBatch& src, size_t n, At at) {
+  EON_CHECK(src.type_ == type_);
+  const size_t base = size_;
+  Reserve(base + n);
+  switch (type_) {
+    case DataType::kInt64:
+      ints_.resize(base + n);
+      for (size_t k = 0; k < n; ++k) ints_[base + k] = src.ints_[at(k)];
+      break;
+    case DataType::kDouble:
+      dbls_.resize(base + n);
+      for (size_t k = 0; k < n; ++k) dbls_[base + k] = src.dbls_[at(k)];
+      break;
+    case DataType::kString:
+      for (size_t k = 0; k < n; ++k) strs_.push_back(src.strs_[at(k)]);
+      break;
+  }
+  // Null rows already carry their zero/empty placeholder in src, so only
+  // the bitmap needs work, and only when either side has nulls.
+  if (src.valid_.empty() && valid_.empty()) {
+    size_ = base + n;
+    return;
+  }
+  MaterializeValidity();
+  size_ = base + n;
+  valid_.resize((size_ + 64) / 64, 0);
+  for (size_t k = 0; k < n; ++k) {
+    const size_t r = base + k;
+    const uint64_t bit = uint64_t{1} << (r & 63);
+    if (src.IsNull(at(k))) {
+      valid_[r >> 6] &= ~bit;
+    } else {
+      valid_[r >> 6] |= bit;
+    }
+  }
+}
+
+void ColumnBatch::AppendRange(const ColumnBatch& src, size_t begin, size_t n) {
+  EON_CHECK(begin + n <= src.size_);
+  AppendRows(src, n, [begin](size_t k) { return begin + k; });
+}
+
+void ColumnBatch::AppendGather(const ColumnBatch& src, const uint32_t* idx,
+                               size_t n) {
+  AppendRows(src, n, [idx](size_t k) { return static_cast<size_t>(idx[k]); });
+}
+
+ColumnChunk ColumnChunk::Gather(const uint32_t* idx, size_t n) const {
+  ColumnChunk out;
+  out.columns.reserve(columns.size());
+  for (const ColumnBatch& c : columns) {
+    ColumnBatch& dst = out.columns.emplace_back(c.type());
+    dst.AppendGather(c, idx, n);
+  }
+  return out;
+}
+
+uint64_t ColumnChunk::WireBytes() const {
+  uint64_t bytes = 0;
+  for (const ColumnBatch& c : columns) bytes += c.WireBytes();
+  return bytes;
+}
+
+void AppendChunkRows(const ColumnChunk& chunk, std::vector<Row>* rows) {
+  const size_t n = chunk.num_rows();
+  rows->reserve(rows->size() + n);
+  for (size_t i = 0; i < n; ++i) {
+    Row row;
+    row.reserve(chunk.columns.size());
+    for (const ColumnBatch& c : chunk.columns) row.push_back(c.GetValue(i));
+    rows->push_back(std::move(row));
+  }
+}
+
+std::vector<Row> ChunkToRows(const ColumnChunk& chunk) {
+  std::vector<Row> rows;
+  AppendChunkRows(chunk, &rows);
+  return rows;
+}
+
+ColumnChunk ChunkFromRows(const std::vector<Row>& rows,
+                          const std::vector<DataType>& types) {
+  ColumnChunk chunk;
+  chunk.columns.reserve(types.size());
+  for (size_t c = 0; c < types.size(); ++c) {
+    ColumnBatch& col = chunk.columns.emplace_back(types[c]);
+    col.Reserve(rows.size());
+    for (const Row& row : rows) col.AppendValue(row[c]);
+  }
+  return chunk;
 }
 
 BatchSelection BatchSelection::All(size_t row_count) {

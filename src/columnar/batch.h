@@ -27,17 +27,20 @@ class ColumnBatch {
   explicit ColumnBatch(DataType type) : type_(type) {}
 
   static ColumnBatch FromValues(DataType type, const std::vector<Value>& values);
-  /// Columnarizes one column out of a row batch.
-  static ColumnBatch FromRows(const std::vector<Row>& rows, size_t col,
-                              DataType type);
 
   void Reset(DataType type);
+  /// Room for n rows; grows geometrically, so per-block calls stay
+  /// amortized O(1) per row.
   void Reserve(size_t n);
   void AppendValue(const Value& v);
   void AppendInt(int64_t v);
   void AppendDouble(double v);
   void AppendString(std::string v);
   void AppendNull();
+  /// Appends rows [begin, begin + n) of `src` (same type), nulls kept.
+  void AppendRange(const ColumnBatch& src, size_t begin, size_t n);
+  /// Appends rows idx[0..n) of `src` (same type), in idx order.
+  void AppendGather(const ColumnBatch& src, const uint32_t* idx, size_t n);
 
   DataType type() const { return type_; }
   size_t size() const { return size_; }
@@ -47,6 +50,9 @@ class ColumnBatch {
   }
   /// Materializes row i back into a Value (boundary to row-wise code).
   Value GetValue(size_t i) const;
+  /// Sum over rows of the row's wire size as RowBytes counts it (a tag
+  /// byte, plus 8 per fixed-width value or length + 4 per string).
+  uint64_t WireBytes() const;
 
   const int64_t* ints() const { return ints_.data(); }
   const double* dbls() const { return dbls_.data(); }
@@ -59,6 +65,10 @@ class ColumnBatch {
 
  private:
   void MaterializeValidity();
+  /// Shared tail of AppendRange/AppendGather: `at(k)` is the source row
+  /// of the k-th appended row.
+  template <typename At>
+  void AppendRows(const ColumnBatch& src, size_t n, At at);
 
   DataType type_ = DataType::kInt64;
   size_t size_ = 0;
@@ -67,6 +77,30 @@ class ColumnBatch {
   std::vector<std::string> strs_;
   std::vector<uint64_t> valid_;  // empty = all rows valid
 };
+
+/// A chunk: equal-length ColumnBatches, one per output column — the one
+/// currency query operators hand each other (scan → join → aggregate or
+/// gather). Rows are made from chunks only at the result boundary. A
+/// chunk counts its rows by its columns, so a chunk with no columns is
+/// empty: operators that need only a row count carry one column along.
+struct ColumnChunk {
+  std::vector<ColumnBatch> columns;
+
+  size_t num_rows() const { return columns.empty() ? 0 : columns[0].size(); }
+  /// Rows idx[0..n) of every column, in idx order.
+  ColumnChunk Gather(const uint32_t* idx, size_t n) const;
+  /// Sum of RowBytes over the chunk's rows.
+  uint64_t WireBytes() const;
+};
+
+/// The chunk ↔ rows boundary, shared by every caller that still speaks
+/// rows (results, the tuple mover's merge, DML pre-images, the near-data
+/// response, system tables). Appends the chunk's rows to `rows`.
+void AppendChunkRows(const ColumnChunk& chunk, std::vector<Row>* rows);
+std::vector<Row> ChunkToRows(const ColumnChunk& chunk);
+/// Columnarizes rows whose column c has type types[c].
+ColumnChunk ChunkFromRows(const std::vector<Row>& rows,
+                          const std::vector<DataType>& types);
 
 /// A set of selected rows over a batch, stored either as a byte mask or as
 /// an ascending index list — picked by density, since sparse selections

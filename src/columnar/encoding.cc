@@ -161,8 +161,11 @@ Status ParseBitPackedPrefix(Slice* in, uint64_t count, uint64_t* n_valid,
 }
 
 Status DecodeBitPackedSelected(Slice* in, DataType type, uint64_t count,
-                               const uint8_t* sel, std::vector<Value>* out,
+                               const uint8_t* sel, ColumnBatch* out,
                                uint64_t* decoded, uint64_t* unpacked) {
+  if (type != DataType::kInt64) {
+    return Status::Corruption("bit-packed chunk on non-int64 column");
+  }
   uint64_t n_valid = 0;
   std::vector<uint8_t> validbyte;
   EON_RETURN_IF_ERROR(ParseBitPackedPrefix(in, count, &n_valid, &validbyte));
@@ -203,12 +206,12 @@ Status DecodeBitPackedSelected(Slice* in, DataType type, uint64_t count,
       for (uint64_t r = span_begin; r < row; ++r) {
         if (is_valid(r)) {
           if (sel == nullptr || sel[r]) {
-            out->push_back(Value::Int(buf[j]));
+            out->AppendInt(buf[j]);
             ++*decoded;
           }
           ++j;
         } else if (sel == nullptr || sel[r]) {
-          out->push_back(Value::Null(type));
+          out->AppendNull();
           ++*decoded;
         }
       }
@@ -222,7 +225,7 @@ Status DecodeBitPackedSelected(Slice* in, DataType type, uint64_t count,
       in->remove_prefix(nbytes);
       for (uint64_t r = span_begin; r < row; ++r) {
         if (!is_valid(r) && (sel == nullptr || sel[r])) {
-          out->push_back(Value::Null(type));
+          out->AppendNull();
           ++*decoded;
         }
       }
@@ -234,51 +237,9 @@ Status DecodeBitPackedSelected(Slice* in, DataType type, uint64_t count,
       return Status::Corruption("bit-packed value without block");
     }
     if (sel == nullptr || sel[row]) {
-      out->push_back(Value::Null(type));
+      out->AppendNull();
       ++*decoded;
     }
-  }
-  return Status::OK();
-}
-
-Status DecodeBitPackedToBatch(Slice* in, uint64_t count, ColumnBatch* out,
-                              uint64_t* unpacked) {
-  uint64_t n_valid = 0;
-  std::vector<uint8_t> validbyte;
-  EON_RETURN_IF_ERROR(ParseBitPackedPrefix(in, count, &n_valid, &validbyte));
-  auto is_valid = [&](uint64_t i) {
-    return validbyte.empty() || validbyte[i] != 0;
-  };
-  int64_t buf[kBpBlockLen];
-  uint64_t row = 0;
-  for (uint64_t block = 0; block < n_valid; block += kBpBlockLen) {
-    const size_t len = static_cast<size_t>(
-        std::min<uint64_t>(kBpBlockLen, n_valid - block));
-    int64_t mn;
-    EON_RETURN_IF_ERROR(GetVarint64Signed(in, &mn));
-    if (in->empty()) return Status::Corruption("bit-packed width truncated");
-    const int width = static_cast<uint8_t>((*in)[0]);
-    in->remove_prefix(1);
-    if (width > 64) return Status::Corruption("bit-packed width out of range");
-    EON_RETURN_IF_ERROR(UnpackBits(in, len, width, mn, buf));
-    if (unpacked != nullptr) *unpacked += len;
-    size_t j = 0;
-    while (row < count && j < len) {
-      if (is_valid(row)) {
-        out->AppendInt(buf[j]);
-        ++j;
-      } else {
-        out->AppendNull();
-      }
-      ++row;
-    }
-    if (j < len) return Status::Corruption("bit-packed bitmap short");
-  }
-  for (; row < count; ++row) {
-    if (is_valid(row)) {
-      return Status::Corruption("bit-packed value without block");
-    }
-    out->AppendNull();
   }
   return Status::OK();
 }
@@ -427,24 +388,54 @@ Status DecodeDelta(Slice* in, uint64_t count, std::vector<Value>* out) {
   return Status::OK();
 }
 
+/// Decodes one serialized Value straight into `out` (no Value built).
+Status DecodeValueInto(Slice* in, DataType type, ColumnBatch* out) {
+  if (in->empty()) return Status::Corruption("value underflow");
+  const uint8_t flag = static_cast<uint8_t>((*in)[0]);
+  in->remove_prefix(1);
+  if (flag == 0) {
+    out->AppendNull();
+    return Status::OK();
+  }
+  switch (type) {
+    case DataType::kInt64: {
+      int64_t i;
+      EON_RETURN_IF_ERROR(GetVarint64Signed(in, &i));
+      out->AppendInt(i);
+      return Status::OK();
+    }
+    case DataType::kDouble: {
+      double d;
+      EON_RETURN_IF_ERROR(GetDouble(in, &d));
+      out->AppendDouble(d);
+      return Status::OK();
+    }
+    case DataType::kString: {
+      Slice str;
+      EON_RETURN_IF_ERROR(GetLengthPrefixed(in, &str));
+      out->AppendString(str.ToString());
+      return Status::OK();
+    }
+  }
+  return Status::Corruption("unknown data type");
+}
+
 Status DecodePlainSelected(Slice* in, DataType type, uint64_t count,
-                           const uint8_t* sel, std::vector<Value>* out,
+                           const uint8_t* sel, ColumnBatch* out,
                            uint64_t* decoded) {
   for (uint64_t i = 0; i < count; ++i) {
     if (sel != nullptr && !sel[i]) {
       EON_RETURN_IF_ERROR(SkipValue(in, type));
       continue;
     }
-    Value v;
-    EON_RETURN_IF_ERROR(GetValue(in, type, &v));
-    out->push_back(std::move(v));
+    EON_RETURN_IF_ERROR(DecodeValueInto(in, type, out));
     ++*decoded;
   }
   return Status::OK();
 }
 
 Status DecodeRleSelected(Slice* in, DataType type, uint64_t count,
-                         const uint8_t* sel, std::vector<Value>* out,
+                         const uint8_t* sel, ColumnBatch* out,
                          uint64_t* decoded) {
   uint64_t produced = 0;
   while (produced < count) {
@@ -458,7 +449,7 @@ Status DecodeRleSelected(Slice* in, DataType type, uint64_t count,
     ++*decoded;  // One parse per run, however long the run is.
     for (uint64_t k = 0; k < run; ++k) {
       if (sel == nullptr || sel[produced + k]) {
-        out->push_back(v);
+        out->AppendValue(v);
         ++*decoded;
       }
     }
@@ -468,7 +459,7 @@ Status DecodeRleSelected(Slice* in, DataType type, uint64_t count,
 }
 
 Status DecodeDictSelected(Slice* in, DataType type, uint64_t count,
-                          const uint8_t* sel, std::vector<Value>* out,
+                          const uint8_t* sel, ColumnBatch* out,
                           uint64_t* decoded) {
   uint64_t dict_size;
   EON_RETURN_IF_ERROR(GetVarint64(in, &dict_size));
@@ -485,9 +476,9 @@ Status DecodeDictSelected(Slice* in, DataType type, uint64_t count,
     EON_RETURN_IF_ERROR(GetVarint32(in, &code));
     if (sel != nullptr && !sel[i]) continue;
     if (code == 0) {
-      out->push_back(Value::Null(type));
+      out->AppendNull();
     } else if (code <= entries.size()) {
-      out->push_back(entries[code - 1]);
+      out->AppendValue(entries[code - 1]);
     } else {
       return Status::Corruption("dictionary code out of range");
     }
@@ -496,8 +487,12 @@ Status DecodeDictSelected(Slice* in, DataType type, uint64_t count,
   return Status::OK();
 }
 
-Status DecodeDeltaSelected(Slice* in, uint64_t count, const uint8_t* sel,
-                           std::vector<Value>* out, uint64_t* decoded) {
+Status DecodeDeltaSelected(Slice* in, DataType type, uint64_t count,
+                           const uint8_t* sel, ColumnBatch* out,
+                           uint64_t* decoded) {
+  if (type != DataType::kInt64) {
+    return Status::Corruption("delta chunk on non-int64 column");
+  }
   // Deltas chain, so every varint is read; only selected rows materialize.
   int64_t prev = 0;
   for (uint64_t i = 0; i < count; ++i) {
@@ -505,7 +500,7 @@ Status DecodeDeltaSelected(Slice* in, uint64_t count, const uint8_t* sel,
     EON_RETURN_IF_ERROR(GetVarint64Signed(in, &delta));
     prev += delta;
     if (sel == nullptr || sel[i]) {
-      out->push_back(Value::Int(prev));
+      out->AppendInt(prev);
       ++*decoded;
     }
   }
@@ -529,11 +524,12 @@ Result<ChunkView> ParseChunk(Slice chunk) {
 }
 
 Status DecodeChunkSelected(const ChunkView& chunk, DataType type,
-                           const uint8_t* sel, std::vector<Value>* out,
+                           const uint8_t* sel, ColumnBatch* out,
                            uint64_t* values_decoded,
                            uint64_t* values_unpacked) {
+  EON_CHECK(out->type() == type);
   uint64_t decoded = 0;
-  if (sel == nullptr) out->reserve(out->size() + chunk.count);
+  if (sel == nullptr) out->Reserve(out->size() + chunk.count);
   Slice in = chunk.payload;
   Status s;
   switch (chunk.encoding) {
@@ -547,7 +543,7 @@ Status DecodeChunkSelected(const ChunkView& chunk, DataType type,
       s = DecodeDictSelected(&in, type, chunk.count, sel, out, &decoded);
       break;
     case Encoding::kDeltaVarint:
-      s = DecodeDeltaSelected(&in, chunk.count, sel, out, &decoded);
+      s = DecodeDeltaSelected(&in, type, chunk.count, sel, out, &decoded);
       break;
     case Encoding::kBitPacked:
       s = DecodeBitPackedSelected(&in, type, chunk.count, sel, out, &decoded,
@@ -561,44 +557,8 @@ Status DecodeChunkSelected(const ChunkView& chunk, DataType type,
 Status DecodeChunkToBatch(const ChunkView& chunk, DataType type,
                           ColumnBatch* out, uint64_t* values_unpacked) {
   out->Reset(type);
-  out->Reserve(chunk.count);
-  Slice in = chunk.payload;
-  switch (chunk.encoding) {
-    case Encoding::kBitPacked: {
-      if (type != DataType::kInt64) {
-        return Status::Corruption("bit-packed chunk on non-int64 column");
-      }
-      return DecodeBitPackedToBatch(&in, chunk.count, out, values_unpacked);
-    }
-    case Encoding::kDeltaVarint: {
-      if (type != DataType::kInt64) {
-        return Status::Corruption("delta chunk on non-int64 column");
-      }
-      int64_t prev = 0;
-      for (uint64_t i = 0; i < chunk.count; ++i) {
-        int64_t delta;
-        EON_RETURN_IF_ERROR(GetVarint64Signed(&in, &delta));
-        prev += delta;
-        out->AppendInt(prev);
-      }
-      return Status::OK();
-    }
-    case Encoding::kPlain: {
-      for (uint64_t i = 0; i < chunk.count; ++i) {
-        Value v;
-        EON_RETURN_IF_ERROR(GetValue(&in, type, &v));
-        out->AppendValue(v);
-      }
-      return Status::OK();
-    }
-    default: {
-      std::vector<Value> tmp;
-      tmp.reserve(chunk.count);
-      EON_RETURN_IF_ERROR(DecodeChunkSelected(chunk, type, nullptr, &tmp));
-      for (const Value& v : tmp) out->AppendValue(v);
-      return Status::OK();
-    }
-  }
+  return DecodeChunkSelected(chunk, type, nullptr, out, nullptr,
+                             values_unpacked);
 }
 
 Result<bool> EvalChunkCmp(const ChunkView& chunk, DataType type, CmpOp op,
@@ -783,9 +743,14 @@ Status DecodeChunk(Slice data, DataType type, std::vector<Value>* out) {
     case Encoding::kDeltaVarint:
       return DecodeDelta(&data, count, out);
     case Encoding::kBitPacked: {
+      ColumnBatch batch(type);
       uint64_t decoded = 0;
-      return DecodeBitPackedSelected(&data, type, count, nullptr, out,
-                                     &decoded, nullptr);
+      EON_RETURN_IF_ERROR(DecodeBitPackedSelected(&data, type, count, nullptr,
+                                                  &batch, &decoded, nullptr));
+      for (size_t i = 0; i < batch.size(); ++i) {
+        out->push_back(batch.GetValue(i));
+      }
+      return Status::OK();
     }
   }
   return Status::Corruption("unknown encoding");

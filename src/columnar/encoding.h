@@ -53,8 +53,9 @@ struct ChunkView {
 };
 Result<ChunkView> ParseChunk(Slice chunk);
 
-/// Selective decode (late materialization): append to `out` only the rows
-/// with sel[i] != 0, densely, preserving block order. `sel` must cover
+/// Selective decode (late materialization): append to `out` (a batch of
+/// `type`) only the rows with sel[i] != 0, densely, preserving block
+/// order. `sel` must cover
 /// `chunk.count` rows; nullptr selects everything. Skipped rows are parsed
 /// past (SkipValue — no string allocation) rather than materialized; RLE
 /// materializes only the selected copies of each run. `values_decoded`
@@ -64,13 +65,12 @@ Result<ChunkView> ParseChunk(Slice chunk);
 /// computable from the header); `values_unpacked` (optional) accumulates
 /// the packed values actually unpacked.
 Status DecodeChunkSelected(const ChunkView& chunk, DataType type,
-                           const uint8_t* sel, std::vector<Value>* out,
+                           const uint8_t* sel, ColumnBatch* out,
                            uint64_t* values_decoded = nullptr,
                            uint64_t* values_unpacked = nullptr);
 
-/// Decode a full chunk straight into columnar layout. Bit-packed and delta
-/// int64 chunks fill the typed array directly; other encodings decode
-/// value-wise and append. The batch is reset to `type` first.
+/// Decode a full chunk straight into columnar layout (DecodeChunkSelected
+/// with every row selected). The batch is reset to `type` first.
 Status DecodeChunkToBatch(const ChunkView& chunk, DataType type,
                           ColumnBatch* out,
                           uint64_t* values_unpacked = nullptr);

@@ -86,9 +86,11 @@ Status ExecuteObjectScan(const RawObjectReader& reader,
   scan.row_begin = request.row_begin;
   scan.row_end = request.row_end;
   EON_ASSIGN_OR_RETURN(
-      std::vector<Row> rows,
+      ColumnChunk chunk,
       ScanRosContainer(request.schema, request.base_key, &fetcher, scan,
                        &response->scan));
+  // The response is row-shaped (the S3-Select payload): rows are made here.
+  std::vector<Row> rows = ChunkToRows(chunk);
   response->rows_visited = response->scan.rows_visited;
   response->rows_output = rows.size();
   response->bytes_scanned = response->scan.bytes_fetched;

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "columnar/encoding.h"
+#include "columnar/kernels.h"
 #include "columnar/value_codec.h"
 #include "common/codec.h"
 #include "common/hash.h"
@@ -318,7 +319,7 @@ Status ColumnFileReader::DecodeBlockBatch(size_t i, ColumnBatch* out,
 }
 
 Status ColumnFileReader::DecodeSelected(size_t i, const uint8_t* sel,
-                                        std::vector<Value>* out,
+                                        ColumnBatch* out,
                                         uint64_t* values_decoded,
                                         uint64_t* values_unpacked) const {
   EON_ASSIGN_OR_RETURN(ChunkView view, BlockChunk(i));
@@ -518,33 +519,61 @@ class BlockPredicateSource : public EncodedBlockSource {
   Status status_;
 };
 
+/// The scan's output chunk: one batch per output position, typed from
+/// the schema. Each distinct column decodes into the batch of its first
+/// output position; a column requested twice is copied from there.
+struct ScanOutput {
+  ScanOutput(const Schema& schema, const std::vector<size_t>& output_columns)
+      : columns(output_columns) {
+    chunk.columns.reserve(columns.size());
+    for (size_t k = 0; k < columns.size(); ++k) {
+      chunk.columns.emplace_back(schema.column(columns[k]).type);
+      first.emplace(columns[k], k);  // Keeps the first position.
+    }
+  }
+
+  /// After a block appended `n` rows to the batch at each column's first
+  /// position, copy them into the duplicate output positions.
+  void FillDuplicates(size_t n) {
+    for (size_t k = 0; k < columns.size(); ++k) {
+      const size_t f = first.at(columns[k]);
+      if (f == k) continue;
+      const ColumnBatch& src = chunk.columns[f];
+      chunk.columns[k].AppendRange(src, src.size() - n, n);
+    }
+  }
+
+  std::vector<size_t> columns;
+  std::map<size_t, size_t> first;  ///< Column → first output position.
+  ColumnChunk chunk;
+};
+
 /// Two-phase late-materialization scan. Phase 1 opens only the predicate
 /// columns and evaluates the predicate per block — on the encoded
 /// representation where the encoding supports it — folding the row range
 /// and tombstones into one selection vector. Phase 2 selectively decodes
-/// the output columns for the block's surviving rows. Output-only
-/// sections are opened at the first block with survivors, so a container
-/// where nothing survives never parses them.
-Result<std::vector<Row>> ScanLateMaterialized(const Schema& schema,
-                                              const ContainerObject& container,
-                                              const RosScanOptions& options,
-                                              const std::set<size_t>& pred_cols,
-                                              RosScanStats* st) {
+/// the output columns for the block's surviving rows, straight into the
+/// output chunk. Output-only sections are opened at the first block with
+/// survivors, so a container where nothing survives never parses them.
+Result<ColumnChunk> ScanLateMaterialized(const Schema& schema,
+                                         const ContainerObject& container,
+                                         const RosScanOptions& options,
+                                         const std::set<size_t>& pred_cols,
+                                         RosScanStats* st) {
   std::map<size_t, ColumnFileReader> readers;
   EON_RETURN_IF_ERROR(container.OpenColumns(pred_cols, &readers));
   const ColumnFileReader& first = readers.begin()->second;
   const size_t num_blocks = first.num_blocks();
 
-  const std::set<size_t> out_distinct(options.output_columns.begin(),
-                                      options.output_columns.end());
+  ScanOutput out(schema, options.output_columns);
   std::set<size_t> out_only;
-  for (size_t col : out_distinct) {
+  for (const auto& [col, pos] : out.first) {
     if (pred_cols.count(col) == 0) out_only.insert(col);
   }
   bool outputs_open = false;
 
-  std::vector<Row> out;
   BlockPredicateSource src(readers, st);
+  std::vector<uint32_t> survivors;
   for (size_t b = 0; b < num_blocks; ++b) {
     const BlockMeta& bm = first.block(b);
     st->blocks_total++;
@@ -601,53 +630,42 @@ Result<std::vector<Row>> ScanLateMaterialized(const Schema& schema,
     }
 
     // Phase 2: selectively decode each distinct output column. All share
-    // the block's selection vector, so the k-th entry of every dense
-    // vector belongs to the k-th surviving row. A predicate∩output column
+    // the block's selection vector, so the k-th row appended to every
+    // batch belongs to the k-th surviving row. A predicate∩output column
     // phase 1 already decoded whole is compacted, not decoded again.
-    std::map<size_t, std::vector<Value>> dense;
-    for (size_t col : out_distinct) {
-      std::vector<Value> vals;
-      vals.reserve(selected);
+    survivors.clear();
+    for (const auto& [col, pos] : out.first) {
+      ColumnBatch* dst = &out.chunk.columns[pos];
+      const size_t before = dst->size();
       ColumnBatch full;
       if (src.TakeDecoded(col, &full)) {
-        for (uint64_t i = 0; i < bm.row_count; ++i) {
-          if (sel[i]) vals.push_back(full.GetValue(i));
+        if (survivors.empty()) {
+          survivors.resize(selected + 1);  // +1: SelCompact's store.
+          survivors.resize(
+              simd::SelCompact(sel.data(), bm.row_count, survivors.data()));
         }
+        dst->AppendGather(full, survivors.data(), survivors.size());
       } else {
         EON_RETURN_IF_ERROR(readers.at(col).DecodeSelected(
-            b, sel.data(), &vals, &st->values_decoded, &st->values_unpacked));
+            b, sel.data(), dst, &st->values_decoded, &st->values_unpacked));
       }
-      if (vals.size() != selected) {
+      if (dst->size() - before != selected) {
         return Status::Corruption("selective decode count mismatch");
       }
-      dense.emplace(col, std::move(vals));
     }
-    // Output columns in output order, resolved once per block.
-    std::vector<const std::vector<Value>*> out_cols;
-    out_cols.reserve(options.output_columns.size());
-    for (size_t col : options.output_columns) {
-      out_cols.push_back(&dense.at(col));
-    }
-    for (uint64_t k = 0; k < selected; ++k) {
-      Row out_row;
-      out_row.reserve(out_cols.size());
-      for (const std::vector<Value>* values : out_cols) {
-        out_row.push_back((*values)[k]);
-      }
-      out.push_back(std::move(out_row));
-      st->rows_output++;
-    }
+    out.FillDuplicates(selected);
+    st->rows_output += selected;
   }
-  return out;
+  return std::move(out.chunk);
 }
 
 }  // namespace
 
-Result<std::vector<Row>> ScanRosContainer(const Schema& schema,
-                                          const std::string& base_key,
-                                          FileFetcher* fetcher,
-                                          const RosScanOptions& options,
-                                          RosScanStats* stats) {
+Result<ColumnChunk> ScanRosContainer(const Schema& schema,
+                                     const std::string& base_key,
+                                     FileFetcher* fetcher,
+                                     const RosScanOptions& options,
+                                     RosScanStats* stats) {
   RosScanStats local_stats;
   RosScanStats* st = stats ? stats : &local_stats;
 
@@ -673,8 +691,7 @@ Result<std::vector<Row>> ScanRosContainer(const Schema& schema,
     }
   }
 
-  std::vector<Row> out;
-  if (needed.empty()) return out;  // Degenerate: no columns requested.
+  if (needed.empty()) return ColumnChunk{};  // No columns requested.
   EON_ASSIGN_OR_RETURN(ContainerObject container,
                        ContainerObject::Fetch(schema, base_key, fetcher, st));
   if (!pred_cols.empty()) {
@@ -685,8 +702,11 @@ Result<std::vector<Row>> ScanRosContainer(const Schema& schema,
   std::map<size_t, ColumnFileReader> readers;
   EON_RETURN_IF_ERROR(container.OpenColumns(needed, &readers));
 
+  ScanOutput out(schema, options.output_columns);
   const ColumnFileReader& first = readers.begin()->second;
   const size_t num_blocks = first.num_blocks();
+  SelectionVector sel;
+  std::vector<uint32_t> survivors;
   for (size_t b = 0; b < num_blocks; ++b) {
     const BlockMeta& bm = first.block(b);
     st->blocks_total++;
@@ -699,49 +719,54 @@ Result<std::vector<Row>> ScanRosContainer(const Schema& schema,
       continue;
     }
 
-    // Decode the block for each needed column, straight into columnar
-    // batch layout (typed arrays + validity bitmap).
-    std::map<size_t, ColumnBatch> cols;
-    for (const auto& [col, r] : readers) {
-      ColumnBatch batch;
-      EON_RETURN_IF_ERROR(
-          r.DecodeBlockBatch(b, &batch, &st->values_unpacked));
-      st->values_decoded += batch.size();
-      cols.emplace(col, std::move(batch));
-    }
-
     // A column-free predicate (TRUE, NOT TRUE, ...) has no min/max to
     // prune by but still decides every row: one selection vector for the
-    // whole block.
-    SelectionVector sel;
+    // whole block. Row range and tombstones fold into it.
     if (options.predicate) {
       options.predicate->EvalBlockBatch({}, bm.row_count, &sel,
                                         &st->kernel_calls);
+    } else {
+      sel.assign(bm.row_count, 1);
     }
-
-    // Output columns in output order, resolved once per block.
-    std::vector<const ColumnBatch*> out_cols;
-    out_cols.reserve(options.output_columns.size());
-    for (size_t col : options.output_columns) {
-      out_cols.push_back(&cols.at(col));
-    }
-
+    uint64_t selected = 0;
     for (uint64_t i = 0; i < bm.row_count; ++i) {
       const uint64_t pos = block_begin + i;
-      if (pos < options.row_begin || pos >= options.row_end) continue;
-      st->rows_visited++;
-      if (options.deletes && options.deletes->IsDeleted(pos)) continue;
-      if (options.predicate && !sel[i]) continue;
-      Row out_row;
-      out_row.reserve(out_cols.size());
-      for (const ColumnBatch* batch : out_cols) {
-        out_row.push_back(batch->GetValue(i));
+      if (pos < options.row_begin || pos >= options.row_end) {
+        sel[i] = 0;
+        continue;
       }
-      out.push_back(std::move(out_row));
-      st->rows_output++;
+      st->rows_visited++;
+      if (options.deletes && options.deletes->IsDeleted(pos)) sel[i] = 0;
+      if (sel[i]) ++selected;
     }
+    survivors.clear();
+    if (selected < bm.row_count) {
+      survivors.resize(selected + 1);  // +1: SelCompact's branchless store.
+      survivors.resize(
+          simd::SelCompact(sel.data(), bm.row_count, survivors.data()));
+    }
+
+    // Decode the block of each distinct output column straight into the
+    // output batch when every row survives; otherwise decode it whole
+    // and gather the survivors.
+    for (const auto& [col, pos] : out.first) {
+      ColumnBatch* dst = &out.chunk.columns[pos];
+      const ColumnFileReader& r = readers.at(col);
+      if (selected == bm.row_count) {
+        EON_RETURN_IF_ERROR(r.DecodeSelected(b, nullptr, dst, nullptr,
+                                             &st->values_unpacked));
+      } else {
+        ColumnBatch batch;
+        EON_RETURN_IF_ERROR(
+            r.DecodeBlockBatch(b, &batch, &st->values_unpacked));
+        dst->AppendGather(batch, survivors.data(), survivors.size());
+      }
+      st->values_decoded += bm.row_count;
+    }
+    out.FillDuplicates(selected);
+    st->rows_output += selected;
   }
-  return out;
+  return std::move(out.chunk);
 }
 
 Result<std::vector<uint64_t>> FindMatchingPositions(

@@ -162,15 +162,16 @@ class ColumnFileReader {
   Status DecodeBlockBatch(size_t i, ColumnBatch* out,
                           uint64_t* values_unpacked = nullptr) const;
 
-  /// Selective decode (late materialization): append only the rows of
-  /// block `i` with sel[j] != 0, densely, in block order. `sel` must cover
+  /// Selective decode (late materialization): append to `out` (a batch of
+  /// this column's type) only the rows of block `i` with sel[j] != 0,
+  /// densely, in block order. `sel` must cover
   /// the block's row count; nullptr selects everything. Skipped values are
   /// parsed past, not materialized; RLE runs and dictionary codes outside
   /// the selection are never expanded; bit-packed 128-value blocks no
   /// selected row maps into are skipped whole. `values_decoded` /
   /// `values_unpacked` (optional) accumulate decode work (see
   /// DecodeChunkSelected).
-  Status DecodeSelected(size_t i, const uint8_t* sel, std::vector<Value>* out,
+  Status DecodeSelected(size_t i, const uint8_t* sel, ColumnBatch* out,
                         uint64_t* values_decoded = nullptr,
                         uint64_t* values_unpacked = nullptr) const;
 
@@ -233,19 +234,19 @@ struct RosScanStats {
 
 /// Scan a ROS container: fetches its one object, opens only the sections
 /// of the needed columns, prunes blocks by min/max, applies the predicate
-/// and delete vector, and returns rows containing exactly
-/// `output_columns` in order. A predicate that reads columns runs the
+/// and delete vector, and returns one dense chunk of the surviving rows:
+/// a batch per entry of `output_columns`, in order. A predicate that reads columns runs the
 /// two-phase late-materialized scan: phase 1 evaluates only the predicate
 /// columns (on the encoded representation where the encoding supports
 /// it), phase 2 selectively decodes the output columns for surviving
 /// rows, and a container where nothing survives never opens its
 /// output-only sections. Without one, every output column is decoded and
 /// emitted.
-Result<std::vector<Row>> ScanRosContainer(const Schema& schema,
-                                          const std::string& base_key,
-                                          FileFetcher* fetcher,
-                                          const RosScanOptions& options,
-                                          RosScanStats* stats = nullptr);
+Result<ColumnChunk> ScanRosContainer(const Schema& schema,
+                                     const std::string& base_key,
+                                     FileFetcher* fetcher,
+                                     const RosScanOptions& options,
+                                     RosScanStats* stats = nullptr);
 
 /// Container-relative positions of live rows matching `predicate`
 /// (tombstoned positions in `deletes` are excluded). Drives the DELETE

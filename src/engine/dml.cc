@@ -957,10 +957,10 @@ Result<uint64_t> DeleteWhereImpl(EonCluster* cluster, const std::string& table,
         mscan.predicate = pred;
         mscan.deletes = &existing;
         EON_ASSIGN_OR_RETURN(
-            std::vector<Row> matched_rows,
+            ColumnChunk matched,
             ScanRosContainer(proj_schema, container->base_key,
                              executor->cache(), mscan));
-        for (Row& row : matched_rows) matched_out->push_back(std::move(row));
+        AppendChunkRows(matched, matched_out);
       }
 
       DeleteVector merged(positions);

@@ -11,6 +11,7 @@
 #include "columnar/agg.h"
 #include "columnar/batch.h"
 #include "columnar/kernels.h"
+#include "columnar/key_table.h"
 #include "columnar/ndp.h"
 #include "columnar/ros.h"
 #include "common/codec.h"
@@ -71,11 +72,13 @@ class ExecParallel {
   uint64_t tasks_ = 0;
 };
 
-/// What one operator hands the next: rows partitioned by the node holding
-/// them, under one named schema (a scan's output, then the join's).
-struct NodeRows {
+/// What one operator hands the next: chunks partitioned by the node
+/// holding them, under one named schema (a scan's output, then the
+/// join's). Each node's chunks stay in morsel order, and none is empty;
+/// a node with an entry but no chunks took part with no rows.
+struct NodeChunks {
   Schema schema;  ///< Output columns (named).
-  std::map<Oid, std::vector<Row>> rows_by_node;
+  std::map<Oid, std::vector<ColumnChunk>> chunks_by_node;
   /// Name of the output column equal to the projection's (single)
   /// segmentation column, when the rows are still placed by its hash —
   /// the locality token joins and group-bys test.
@@ -181,18 +184,42 @@ class PhaseScope {
   bool ended_ = false;
 };
 
+/// Column `pos` of every chunk (at least one), concatenated in order.
+ColumnBatch ConcatColumn(const std::vector<ColumnChunk>& chunks, size_t pos) {
+  size_t rows = 0;
+  for (const ColumnChunk& c : chunks) rows += c.num_rows();
+  ColumnBatch out(chunks.front().columns[pos].type());
+  out.Reserve(rows);
+  for (const ColumnChunk& c : chunks) {
+    out.AppendRange(c.columns[pos], 0, c.num_rows());
+  }
+  return out;
+}
+
+/// One chunk holding `chunks`' rows in order; a single chunk is moved,
+/// not copied. Empty input gives a chunk with no columns.
+ColumnChunk ConcatChunks(std::vector<ColumnChunk>* chunks) {
+  if (chunks->size() == 1) return std::move(chunks->front());
+  ColumnChunk out;
+  if (chunks->empty()) return out;
+  for (size_t k = 0; k < chunks->front().columns.size(); ++k) {
+    out.columns.push_back(ConcatColumn(*chunks, k));
+  }
+  return out;
+}
+
 /// Scan one table across the participating nodes. Each (node, container,
-/// rank) triple is an independent morsel executed on `par`; morsel results
-/// are merged in morsel-construction order, so the output is identical to
-/// the old serial nested loop at any pool width.
-Result<NodeRows> ScanDistributed(EonCluster* cluster,
-                                 const ExecContext& context,
-                                 const CatalogState& snapshot,
-                                 const ScanSpec& spec,
-                                 const std::vector<std::string>& extra_cols,
-                                 const QuerySpec* agg_push,
-                                 obs::QueryProfile* profile,
-                                 ExecParallel* par) {
+/// rank) triple is an independent morsel executed on `par`, producing one
+/// chunk; chunks are merged in morsel-construction order, so the output is
+/// identical to the old serial nested loop at any pool width.
+Result<NodeChunks> ScanDistributed(EonCluster* cluster,
+                                   const ExecContext& context,
+                                   const CatalogState& snapshot,
+                                   const ScanSpec& spec,
+                                   const std::vector<std::string>& extra_cols,
+                                   const QuerySpec* agg_push,
+                                   obs::QueryProfile* profile,
+                                   ExecParallel* par) {
   const TableDef* table = snapshot.FindTableByName(spec.table);
   if (table == nullptr) {
     return Status::NotFound("no such table: " + spec.table);
@@ -278,7 +305,7 @@ Result<NodeRows> ScanDistributed(EonCluster* cluster,
     }
   }
 
-  NodeRows output;
+  NodeChunks output;
   {
     std::vector<ColumnDef> cols;
     for (size_t pos : out_proj_cols) cols.push_back(proj_schema.column(pos));
@@ -372,10 +399,11 @@ Result<NodeRows> ScanDistributed(EonCluster* cluster,
   // commit. Memtable rows are placed per shard exactly as a moveout
   // would persist them (GroupWosRowsForProjection mirrors the load
   // path's SplitRows), so the unioned scan is bit-identical to a
-  // flush-then-query oracle. Rows are full projection-width; the morsel
-  // task projects them onto the scan columns after the predicate.
+  // flush-then-query oracle. Each shard's rows become one full
+  // projection-width chunk, once, after the gates drop; the morsel task
+  // gathers the scan columns of the predicate's survivors from it.
   std::map<Oid, std::shared_ptr<const CatalogState>> serving_snapshots;
-  std::map<ShardId, std::shared_ptr<const std::vector<Row>>> wos_by_shard;
+  std::map<ShardId, std::vector<Row>> wos_rows_by_shard;
   {
     std::vector<Node*> wos_nodes;
     for (const auto& n : cluster->nodes()) {
@@ -408,13 +436,16 @@ Result<NodeRows> ScanDistributed(EonCluster* cluster,
       for (Row& r : visible) wos_rows.push_back(std::move(r));
     }
     if (!wos_rows.empty()) {
-      std::map<ShardId, std::vector<Row>> grouped = GroupWosRowsForProjection(
-          snapshot.sharding, *proj, *table, wos_rows);
-      for (auto& [shard, rows] : grouped) {
-        wos_by_shard[shard] =
-            std::make_shared<const std::vector<Row>>(std::move(rows));
-      }
+      wos_rows_by_shard = GroupWosRowsForProjection(snapshot.sharding, *proj,
+                                                    *table, wos_rows);
     }
+  }
+  std::vector<DataType> proj_types;
+  for (const ColumnDef& c : proj_schema.columns()) proj_types.push_back(c.type);
+  std::map<ShardId, std::shared_ptr<const ColumnChunk>> wos_by_shard;
+  for (const auto& [shard, rows] : wos_rows_by_shard) {
+    wos_by_shard[shard] =
+        std::make_shared<const ColumnChunk>(ChunkFromRows(rows, proj_types));
   }
 
   // Morsel construction is serial: walk shards/containers in plan order,
@@ -423,22 +454,22 @@ Result<NodeRows> ScanDistributed(EonCluster* cluster,
   // EXECUTION below is parallel — which is what makes results reproducible
   // across thread counts.
   struct Morsel {
-    Oid node = 0;              ///< Executing node (cache owner + row sink).
+    Oid node = 0;              ///< Executing node (cache owner + chunk sink).
     Node* executor = nullptr;  ///< Resolved node pointer.
     /// Keeps the serving node's catalog snapshot (and thus `container`)
     /// alive for the duration of the parallel section.
     std::shared_ptr<const CatalogState> snapshot;
-    /// Null for a WOS morsel (whose rows live in `wos_rows` instead).
+    /// Null for a WOS morsel (whose rows live in `wos_chunk` instead).
     const StorageContainerMeta* container = nullptr;
     size_t k = 1;     ///< Sharing-group size (crunch fan-out).
     size_t rank = 0;  ///< This morsel's rank within the sharing group.
     bool push = false;       ///< Planner chose the near-data scan path.
     bool push_aggs = false;  ///< The store folds partial aggregates too.
     uint64_t cold_bytes = 0;  ///< Planner's cold-fetch estimate (profile).
-    /// WOS morsel source: this shard's memtable rows (full projection
-    /// width, placement order). Shared so ranks of a sharing group read
-    /// one copy.
-    std::shared_ptr<const std::vector<Row>> wos_rows;
+    /// WOS morsel source: this shard's memtable rows as one chunk (full
+    /// projection width, placement order). Shared so ranks of a sharing
+    /// group read one copy.
+    std::shared_ptr<const ColumnChunk> wos_chunk;
   };
 
   // Per-morsel pushdown inputs that do not depend on the container: the
@@ -452,6 +483,11 @@ Result<NodeRows> ScanDistributed(EonCluster* cluster,
         proj_schema.column(pos).type == DataType::kString ? 24 : 9;
   }
   const double selectivity = pred ? pred->EstimatedSelectivity() : 1.0;
+  // Column types of a scan's raw output (before the ride-alongs strip).
+  std::vector<DataType> scan_types;
+  for (size_t pos : scan_cols) {
+    scan_types.push_back(proj_schema.column(pos).type);
+  }
 
   std::vector<Morsel> morsels;
   for (const ShardWork& sw : work) {
@@ -519,7 +555,7 @@ Result<NodeRows> ScanDistributed(EonCluster* cluster,
     // followed by a rescan would produce (new containers commit after the
     // existing ones in oid order).
     auto wit = wos_by_shard.find(sw.shard);
-    if (wit != wos_by_shard.end() && !wit->second->empty()) {
+    if (wit != wos_by_shard.end() && wit->second->num_rows() > 0) {
       const size_t k = sw.nodes.size();
       for (size_t rank = 0; rank < k; ++rank) {
         Node* executor = cluster->node(sw.nodes[rank]);
@@ -531,7 +567,7 @@ Result<NodeRows> ScanDistributed(EonCluster* cluster,
         m.executor = executor;
         m.k = k;
         m.rank = rank;
-        m.wos_rows = wit->second;
+        m.wos_chunk = wit->second;
         morsels.push_back(std::move(m));
       }
     }
@@ -588,17 +624,17 @@ Result<NodeRows> ScanDistributed(EonCluster* cluster,
   };
 
   // Execute every morsel as an independent task. Each task writes only its
-  // own MorselResult slot: rows are hash-filtered and stripped locally, and
-  // scan stats accumulate into a task-private RosScanStats.
+  // own MorselResult slot: its chunk is hash-filtered and stripped locally,
+  // and scan stats accumulate into a task-private RosScanStats.
   struct MorselResult {
     Status status = Status::OK();
-    std::vector<Row> rows;     ///< Post-filter, stripped output rows.
+    ColumnChunk chunk;         ///< Post-filter, stripped output rows.
     size_t rows_scanned = 0;   ///< Pre-filter count (profile semantics).
     RosScanStats scan;
     // Near-data outcome: set when the morsel actually executed store-side
     // (a NotSupported store silently falls back to the local path).
     bool pushed = false;
-    bool has_partials = false;  ///< `partials` replaces `rows`.
+    bool has_partials = false;  ///< `partials` replaces `chunk`.
     GroupMap partials;          ///< Store-side partial aggregates.
     uint64_t response_bytes = 0;
     uint64_t store_bytes_scanned = 0;
@@ -628,8 +664,8 @@ Result<NodeRows> ScanDistributed(EonCluster* cluster,
             "rows", static_cast<int64_t>(m.container->row_count));
       } else {
         morsel_span.SetAttribute("wos", 1);
-        morsel_span.SetAttribute("rows",
-                                 static_cast<int64_t>(m.wos_rows->size()));
+        morsel_span.SetAttribute(
+            "rows", static_cast<int64_t>(m.wos_chunk->num_rows()));
       }
       if (m.k > 1) {
         morsel_span.SetAttribute("rank", static_cast<int64_t>(m.rank));
@@ -643,40 +679,49 @@ Result<NodeRows> ScanDistributed(EonCluster* cluster,
     // node (DcNodeScope) — pushed ScanObject calls included.
     obs::DcNodeScope node_scope(m.executor->name());
     res.status = [&]() -> Status {
-      std::vector<Row> rows;
+      ColumnChunk chunk;
       if (m.container == nullptr) {
-        // WOS morsel: materialize this shard's memtable rows into the
-        // scan's currency. The predicate columns are columnarized and run
-        // through the same vectorized kernels as the container scan.
-        const std::vector<Row>& src = *m.wos_rows;
-        size_t row_begin = 0, row_end = src.size();
+        // WOS morsel: the shard's memtable chunk runs the predicate
+        // through the same vectorized kernels as the container scan, then
+        // the survivors' scan columns are gathered.
+        const ColumnChunk& src = *m.wos_chunk;
+        size_t row_begin = 0, row_end = src.num_rows();
         if (m.k > 1 && context.crunch == CrunchMode::kContainerSplit) {
-          row_begin = src.size() * m.rank / m.k;
-          row_end = src.size() * (m.rank + 1) / m.k;
+          row_begin = src.num_rows() * m.rank / m.k;
+          row_end = src.num_rows() * (m.rank + 1) / m.k;
         }
         const size_t n = row_end - row_begin;
-        std::vector<uint8_t> sel(n, 1);
+        std::vector<uint32_t> idx;
+        idx.reserve(n);
         if (pred != nullptr && n > 0) {
-          std::vector<Row> slice(src.begin() + row_begin,
-                                 src.begin() + row_end);
-          std::map<size_t, ColumnBatch> owned;
+          // A rank's sub-range is sliced out of the predicate columns so
+          // the kernels see rows [0, n).
+          std::vector<ColumnBatch> sliced;
+          sliced.reserve(pred_proj_cols.size());
           std::vector<const ColumnBatch*> cols(proj_schema.num_columns(),
                                                nullptr);
           for (size_t c : pred_proj_cols) {
-            owned.emplace(c, ColumnBatch::FromRows(
-                                 slice, c, proj_schema.column(c).type));
-            cols[c] = &owned.at(c);
+            if (n == src.num_rows()) {
+              cols[c] = &src.columns[c];
+              continue;
+            }
+            ColumnBatch& slice = sliced.emplace_back(src.columns[c].type());
+            slice.AppendRange(src.columns[c], row_begin, n);
+            cols[c] = &slice;
           }
+          SelectionVector sel;
           pred->EvalBlockBatch(cols, n, &sel, &res.scan.kernel_calls);
+          for (size_t r = 0; r < n; ++r) {
+            if (sel[r]) idx.push_back(static_cast<uint32_t>(row_begin + r));
+          }
+        } else {
+          for (size_t r = row_begin; r < row_end; ++r) {
+            idx.push_back(static_cast<uint32_t>(r));
+          }
         }
-        rows.reserve(n);
-        for (size_t r = 0; r < n; ++r) {
-          if (!sel[r]) continue;
-          const Row& full = src[row_begin + r];
-          Row out_row;
-          out_row.reserve(scan_cols.size());
-          for (size_t pos : scan_cols) out_row.push_back(full[pos]);
-          rows.push_back(std::move(out_row));
+        for (size_t pos : scan_cols) {
+          chunk.columns.emplace_back(src.columns[pos].type())
+              .AppendGather(src.columns[pos], idx.data(), idx.size());
         }
       } else {
       if (prefetch_depth > 0) prefetch_window(i);
@@ -729,7 +774,8 @@ Result<NodeRows> ScanDistributed(EonCluster* cluster,
             res.rows_scanned = resp.rows_output;
             return Status::OK();
           }
-          rows = std::move(resp.rows);
+          // The store's response is row-shaped: it becomes a chunk here.
+          chunk = ChunkFromRows(resp.rows, scan_types);
         } else if (!s.IsNotSupported()) {
           return s;
         }
@@ -749,57 +795,58 @@ Result<NodeRows> ScanDistributed(EonCluster* cluster,
           scan.row_end = m.container->row_count * (m.rank + 1) / m.k;
         }
         EON_ASSIGN_OR_RETURN(
-            rows, ScanRosContainer(proj_schema, m.container->base_key,
-                                   m.executor->cache(), scan, &res.scan));
+            chunk, ScanRosContainer(proj_schema, m.container->base_key,
+                                    m.executor->cache(), scan, &res.scan));
       }
       }
-      res.rows_scanned = rows.size();
-      res.rows.reserve(rows.size());
+      const size_t n = chunk.num_rows();
+      res.rows_scanned = n;
+      std::vector<uint32_t> keep;
       const bool hash_filter =
           m.k > 1 && context.crunch == CrunchMode::kHashFilter;
-      if (hash_filter && seg_positions_in_scan.size() == 1 &&
-          proj_schema.column(scan_cols[seg_positions_in_scan[0]]).type ==
-              DataType::kInt64) {
-        // Single int64 segmentation column (the common fan-out shape):
-        // hash the whole morsel with the vectorized kernel — bit-identical
-        // to Value::SegHash per row — then keep rank-owned rows.
-        const size_t seg_pos = seg_positions_in_scan[0];
-        ColumnBatch seg =
-            ColumnBatch::FromRows(rows, seg_pos, DataType::kInt64);
-        std::vector<uint32_t> hashes(rows.size());
-        simd::SegHashInt64(seg.ints(), rows.size(), seg.validity_words(),
-                           hashes.data());
-        res.scan.kernel_calls++;
-        for (size_t r = 0; r < rows.size(); ++r) {
-          if (hashes[r] % m.k != m.rank) continue;
-          rows[r].resize(out_proj_cols.size());  // Strip seg columns.
-          res.rows.push_back(std::move(rows[r]));
-        }
-        return Status::OK();
-      }
-      for (Row& row : rows) {
-        if (hash_filter) {
-          // Secondary hash segmentation predicate applied per row: only
-          // rank (hash % k) keeps the row (Section 4.4).
-          uint32_t h = 0;
-          bool first = true;
-          for (size_t pos : seg_positions_in_scan) {
-            h = first ? row[pos].SegHash()
-                      : SegmentationHashCombine(h, row[pos].SegHash());
-            first = false;
+      if (hash_filter) {
+        // Secondary hash segmentation predicate: only rank (hash % k)
+        // keeps a row (Section 4.4). The hashes are taken over the
+        // chunk's ride-along segmentation columns in place.
+        std::vector<uint32_t> hashes(n, 0);
+        if (seg_positions_in_scan.size() == 1 &&
+            proj_schema.column(scan_cols[seg_positions_in_scan[0]]).type ==
+                DataType::kInt64) {
+          // Single int64 segmentation column (the common fan-out shape):
+          // the vectorized kernel, bit-identical to Value::SegHash per row.
+          const ColumnBatch& seg = chunk.columns[seg_positions_in_scan[0]];
+          simd::SegHashInt64(seg.ints(), n, seg.validity_words(),
+                             hashes.data());
+          res.scan.kernel_calls++;
+        } else {
+          for (size_t r = 0; r < n; ++r) {
+            bool first = true;
+            for (size_t pos : seg_positions_in_scan) {
+              const uint32_t h = chunk.columns[pos].GetValue(r).SegHash();
+              hashes[r] = first ? h : SegmentationHashCombine(hashes[r], h);
+              first = false;
+            }
           }
-          if (h % m.k != m.rank) continue;
         }
-        row.resize(out_proj_cols.size());  // Strip ride-along seg columns.
-        res.rows.push_back(std::move(row));
+        keep.reserve(n);
+        for (size_t r = 0; r < n; ++r) {
+          if (hashes[r] % m.k == m.rank) {
+            keep.push_back(static_cast<uint32_t>(r));
+          }
+        }
       }
+      chunk.columns.resize(out_proj_cols.size());  // Strip ride-alongs.
+      if (hash_filter && keep.size() != n) {
+        chunk = chunk.Gather(keep.data(), keep.size());
+      }
+      res.chunk = std::move(chunk);
       return Status::OK();
     }();
   });
 
   // Deterministic merge in morsel order: the first failing morsel's error
   // wins (matching the serial loop's first-error return), and each node's
-  // row sink receives rows in exactly the serial append order.
+  // chunk list receives chunks in exactly the serial append order.
   for (size_t i = 0; i < morsels.size(); ++i) {
     EON_RETURN_IF_ERROR(results[i].status);
     MorselResult& res = results[i];
@@ -827,85 +874,27 @@ Result<NodeRows> ScanDistributed(EonCluster* cluster,
                   &output.partials_by_node[morsels[i].node]);
       continue;
     }
-    std::vector<Row>& sink = output.rows_by_node[morsels[i].node];
-    if (sink.empty()) {
-      sink = std::move(res.rows);
-    } else {
-      sink.insert(sink.end(), std::make_move_iterator(res.rows.begin()),
-                  std::make_move_iterator(res.rows.end()));
-    }
+    std::vector<ColumnChunk>& sink = output.chunks_by_node[morsels[i].node];
+    if (res.chunk.num_rows() > 0) sink.push_back(std::move(res.chunk));
   }
   return output;
 }
 
-/// Fold one row batch into per-group aggregation states through the
-/// columnar kernels: each distinct aggregate input column is columnarized
-/// once (ColumnBatch::FromRows), then every group folds its rows — the
-/// whole batch contiguously for a global aggregate, an ascending index
-/// list per group otherwise — so int64 SUM/AVG/MIN/MAX partials run the
-/// vectorized fold kernel instead of a per-Value switch per row.
-///
-/// An aggregate with no input column (agg_pos SIZE_MAX) is COUNT(*),
-/// which folds the row count directly: ExecuteQuery rejects any other
-/// function without one.
-void FoldRowsIntoGroups(const std::vector<Row>& rows,
-                        const std::vector<size_t>& group_pos,
-                        const std::vector<AggSpec>& aggs,
-                        const std::vector<size_t>& agg_pos,
-                        const std::vector<DataType>& agg_types,
-                        GroupMap* groups, uint64_t* kernel_calls) {
-  if (rows.empty()) return;
-  std::map<size_t, ColumnBatch> batches;
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    if (agg_pos[a] == SIZE_MAX || batches.count(agg_pos[a])) continue;
-    batches.emplace(agg_pos[a],
-                    ColumnBatch::FromRows(rows, agg_pos[a], agg_types[a]));
-  }
-
-  auto fold_group = [&](std::vector<AggState>& states, const uint32_t* idx,
-                        size_t nidx) {
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      AggState& st = states[a];
-      if (agg_pos[a] == SIZE_MAX) {
-        st.FoldCountOnly(nidx);
-      } else {
-        st.Fold(aggs[a].fn, batches.at(agg_pos[a]), idx, nidx, kernel_calls);
-      }
-    }
-  };
-
-  if (group_pos.empty()) {
-    auto [it, inserted] =
-        groups->try_emplace(GroupKey{}, std::vector<AggState>(aggs.size()));
-    fold_group(it->second, nullptr, rows.size());
-    return;
-  }
-  // Bucket row indices by group key; each group's list is ascending, so
-  // order-sensitive accumulators (doubles) see rows in the original order.
-  std::map<GroupKey, std::vector<uint32_t>, GroupKeyLess> buckets;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    GroupKey key;
-    key.reserve(group_pos.size());
-    for (size_t p : group_pos) key.push_back(rows[i][p]);
-    buckets[std::move(key)].push_back(static_cast<uint32_t>(i));
-  }
-  for (auto& [key, idx] : buckets) {
-    auto [it, inserted] =
-        groups->try_emplace(key, std::vector<AggState>(aggs.size()));
-    fold_group(it->second, idx.data(), idx.size());
-  }
-}
-
-/// Inner equi-join of two scans' node-partitioned rows (Section 4). Both
+/// Inner equi-join of two scans' node-partitioned chunks (Section 4). Both
 /// sides placed by the hash of their join key: every key's rows meet on
 /// one node, which joins them in place. A right side scanned from the
 /// replica shard (one node, unsegmented) is broadcast to every left node.
 /// Anything else reshuffles both sides to the coordinator (every row
 /// moves once). Output columns are the left's then the right's, a right
 /// name that collides renamed with the right table as prefix.
-Result<NodeRows> JoinByNode(NodeRows left, NodeRows right,
-                            const JoinSpec& join, Oid coord,
-                            ExecParallel* par, obs::QueryProfile* profile) {
+///
+/// Each join builds a hash table on the right key column and probes it
+/// with the left key column, chunk by chunk; a left row's matches come
+/// out in build order, and a NULL key never matches. The output columns
+/// are gathered by row index.
+Result<NodeChunks> JoinByNode(NodeChunks left, NodeChunks right,
+                              const JoinSpec& join, Oid coord,
+                              ExecParallel* par, obs::QueryProfile* profile) {
   Result<size_t> left_key = left.schema.IndexOf(join.left_key);
   Result<size_t> right_key = right.schema.IndexOf(join.right_key);
   if (!left_key.ok() || !right_key.ok()) {
@@ -913,15 +902,19 @@ Result<NodeRows> JoinByNode(NodeRows left, NodeRows right,
   }
   const size_t left_key_pos = *left_key;
   const size_t right_key_pos = *right_key;
+  if (left.schema.column(left_key_pos).type !=
+      right.schema.column(right_key_pos).type) {
+    return Status::InvalidArgument("join keys differ in type");
+  }
   const bool co_located = !left.segmented_by.empty() &&
                           left.segmented_by == join.left_key &&
                           !right.segmented_by.empty() &&
                           right.segmented_by == join.right_key;
-  const bool broadcast = !co_located && right.rows_by_node.size() == 1 &&
+  const bool broadcast = !co_located && right.chunks_by_node.size() == 1 &&
                          right.segmented_by.empty();
   profile->local_join = co_located;
 
-  NodeRows out;
+  NodeChunks out;
   if (co_located) out.segmented_by = left.segmented_by;
   {
     std::vector<ColumnDef> cols = left.schema.columns();
@@ -935,99 +928,295 @@ Result<NodeRows> JoinByNode(NodeRows left, NodeRows right,
     out.schema = Schema(std::move(cols));
   }
 
-  auto hash_join = [&](const std::vector<Row>& build,
-                       const std::vector<Row>& probe, std::vector<Row>* dst) {
-    std::multimap<Value, const Row*> table;
-    for (const Row& r : build) table.emplace(r[right_key_pos], &r);
-    for (const Row& l : probe) {
-      auto [lo, hi] = table.equal_range(l[left_key_pos]);
-      for (auto it = lo; it != hi; ++it) {
-        if (l[left_key_pos].is_null()) continue;
-        Row joined = l;
-        joined.insert(joined.end(), it->second->begin(), it->second->end());
-        dst->push_back(std::move(joined));
+  auto hash_join = [&](const ColumnChunk& build,
+                       const std::vector<ColumnChunk>& probe,
+                       std::vector<ColumnChunk>* dst) {
+    const size_t nb = build.num_rows();
+    if (nb == 0) return;
+    const ColumnBatch& build_key = build.columns[right_key_pos];
+    KeyTable table({&build_key}, nb);
+    const std::vector<uint64_t> build_hashes =
+        KeyTable::HashRows({&build_key}, nb);
+    // Per key: its build rows chained in ascending (build) order.
+    std::vector<uint32_t> head, tail;
+    std::vector<uint32_t> next(nb, KeyTable::kNone);
+    for (size_t r = 0; r < nb; ++r) {
+      if (build_key.IsNull(r)) continue;
+      const uint32_t id = table.Insert(r, build_hashes[r]);
+      if (id == head.size()) {
+        head.push_back(static_cast<uint32_t>(r));
+        tail.push_back(static_cast<uint32_t>(r));
+      } else {
+        next[tail[id]] = static_cast<uint32_t>(r);
+        tail[id] = static_cast<uint32_t>(r);
       }
+    }
+    std::vector<uint32_t> left_rows, right_rows;
+    for (const ColumnChunk& lc : probe) {
+      const std::vector<const ColumnBatch*> probe_key = {
+          &lc.columns[left_key_pos]};
+      const std::vector<uint64_t> probe_hashes =
+          KeyTable::HashRows(probe_key, lc.num_rows());
+      left_rows.clear();
+      right_rows.clear();
+      for (size_t i = 0; i < lc.num_rows(); ++i) {
+        if (probe_key[0]->IsNull(i)) continue;
+        const uint32_t id = table.Find(probe_key, i, probe_hashes[i]);
+        if (id == KeyTable::kNone) continue;
+        for (uint32_t r = head[id]; r != KeyTable::kNone; r = next[r]) {
+          left_rows.push_back(static_cast<uint32_t>(i));
+          right_rows.push_back(r);
+        }
+      }
+      if (left_rows.empty()) continue;
+      ColumnChunk joined = lc.Gather(left_rows.data(), left_rows.size());
+      for (const ColumnBatch& c : build.columns) {
+        joined.columns.emplace_back(c.type())
+            .AppendGather(c, right_rows.data(), right_rows.size());
+      }
+      dst->push_back(std::move(joined));
     }
   };
 
   if (!co_located && !broadcast) {
     // Reshuffle: both sides move to the coordinator.
-    auto collect = [&](std::map<Oid, std::vector<Row>>* by_node) {
-      std::vector<Row> all;
-      for (auto& [node, rows] : *by_node) {
-        for (Row& r : rows) {
-          profile->network_bytes += RowBytes(r);
-          profile->rows_shuffled++;
-          all.push_back(std::move(r));
+    auto collect = [&](std::map<Oid, std::vector<ColumnChunk>>* by_node) {
+      std::vector<ColumnChunk> all;
+      for (auto& [node, chunks] : *by_node) {
+        for (ColumnChunk& c : chunks) {
+          profile->network_bytes += c.WireBytes();
+          profile->rows_shuffled += c.num_rows();
+          all.push_back(std::move(c));
         }
       }
       return all;
     };
-    std::vector<Row> all_left = collect(&left.rows_by_node);
-    std::vector<Row> all_right = collect(&right.rows_by_node);
-    hash_join(all_right, all_left, &out.rows_by_node[coord]);
+    std::vector<ColumnChunk> all_left = collect(&left.chunks_by_node);
+    std::vector<ColumnChunk> all_right = collect(&right.chunks_by_node);
+    const ColumnChunk build = ConcatChunks(&all_right);
+    hash_join(build, all_left, &out.chunks_by_node[coord]);
     return out;
   }
 
-  if (broadcast && !left.rows_by_node.empty()) {
+  ColumnChunk broadcast_build;
+  if (broadcast) {
+    broadcast_build = ConcatChunks(&right.chunks_by_node.begin()->second);
+  }
+  if (broadcast && !left.chunks_by_node.empty()) {
     // The single right copy ships to every left node; with no left rows
     // anywhere it ships nowhere.
-    const std::vector<Row>& rrows = right.rows_by_node.begin()->second;
-    uint64_t rbytes = 0;
-    for (const Row& r : rrows) rbytes += RowBytes(r);
-    const size_t n = left.rows_by_node.size();
-    profile->network_bytes += rbytes * std::max<size_t>(1, n - 1);
-    profile->rows_shuffled += rrows.size() * std::max<size_t>(1, n);
+    const size_t n = left.chunks_by_node.size();
+    profile->network_bytes +=
+        broadcast_build.WireBytes() * std::max<size_t>(1, n - 1);
+    profile->rows_shuffled +=
+        broadcast_build.num_rows() * std::max<size_t>(1, n);
   }
   // Per-node join bodies are independent, so each node is one pool task
   // writing its own output slot; slots land in node order afterwards.
   struct NodeJoin {
     Oid node;
-    const std::vector<Row>* left;
-    const std::vector<Row>* right;
+    const std::vector<ColumnChunk>* left;
+    std::vector<ColumnChunk>* right;  ///< Null: broadcast, or no rows.
   };
-  static const std::vector<Row> kEmpty;
   std::vector<NodeJoin> bodies;
-  bodies.reserve(left.rows_by_node.size());
-  for (const auto& [node, lrows] : left.rows_by_node) {
-    const std::vector<Row>* rrows = &kEmpty;
-    if (broadcast) {
-      rrows = &right.rows_by_node.begin()->second;
-    } else if (auto it = right.rows_by_node.find(node);
-               it != right.rows_by_node.end()) {
-      rrows = &it->second;
+  bodies.reserve(left.chunks_by_node.size());
+  for (const auto& [node, lchunks] : left.chunks_by_node) {
+    std::vector<ColumnChunk>* rchunks = nullptr;
+    if (!broadcast) {
+      auto it = right.chunks_by_node.find(node);
+      if (it != right.chunks_by_node.end()) rchunks = &it->second;
     }
-    bodies.push_back(NodeJoin{node, &lrows, rrows});
+    bodies.push_back(NodeJoin{node, &lchunks, rchunks});
   }
-  std::vector<std::vector<Row>> outs(bodies.size());
+  std::vector<std::vector<ColumnChunk>> outs(bodies.size());
   par->Run(bodies.size(), [&](size_t i) {
-    hash_join(*bodies[i].right, *bodies[i].left, &outs[i]);
+    if (broadcast) {
+      hash_join(broadcast_build, *bodies[i].left, &outs[i]);
+    } else if (bodies[i].right != nullptr) {
+      const ColumnChunk build = ConcatChunks(bodies[i].right);
+      hash_join(build, *bodies[i].left, &outs[i]);
+    }
   });
   for (size_t i = 0; i < bodies.size(); ++i) {
-    out.rows_by_node[bodies[i].node] = std::move(outs[i]);
+    out.chunks_by_node[bodies[i].node] = std::move(outs[i]);
   }
   return out;
 }
 
-/// Group-by / aggregate over node-partitioned rows. Each node folds its
-/// own rows into a partial GroupMap (one pool task per node), store-side
-/// partials from pushed morsels join their node's fold, and the partials
-/// merge in node order, so the result is the same at every pool width.
-/// `local` means every group's rows live on one node: partials are final
-/// and never move; otherwise each partial's transfer to the coordinator
-/// is accounted. Fills `out` with the group columns then one column per
-/// aggregate. Moves the pushed partials out of `in` and leaves its rows,
+/// One node's partial aggregate: `num_groups` groups in first-appearance
+/// order, their key values as the rows of `keys` (one batch per grouping
+/// column) and their states, aggregate a of group g at
+/// states[g * num_aggs + a].
+struct GroupStates {
+  size_t num_groups = 0;
+  ColumnChunk keys;
+  std::vector<AggState> states;
+};
+
+/// Three-way compare of rows i and j of one batch, as Value::Compare
+/// orders their values (NULL first).
+int CompareCells(const ColumnBatch& b, size_t i, size_t j) {
+  const bool ni = b.IsNull(i);
+  const bool nj = b.IsNull(j);
+  if (ni || nj) return ni == nj ? 0 : (ni ? -1 : 1);
+  switch (b.type()) {
+    case DataType::kInt64:
+      return b.ints()[i] < b.ints()[j] ? -1 : (b.ints()[i] > b.ints()[j]);
+    case DataType::kDouble:
+      return b.dbls()[i] < b.dbls()[j] ? -1 : (b.dbls()[i] > b.dbls()[j]);
+    case DataType::kString:
+      return b.strs()[i] < b.strs()[j] ? -1 : (b.strs()[i] > b.strs()[j]);
+  }
+  return 0;
+}
+
+/// Fold one node's chunks into per-group aggregation states through the
+/// columnar kernels. Each column the fold reads is one batch over the
+/// node's rows (the chunk's own batch when the node has one chunk, a
+/// concatenation in morsel order otherwise). Rows are grouped through a
+/// hash table over the key columns, then every group folds its rows —
+/// the whole batch contiguously for a global aggregate, an ascending
+/// index list per group otherwise — so int64 SUM/AVG/MIN/MAX partials run
+/// the vectorized fold kernel and order-sensitive accumulators (doubles)
+/// see rows in scan order. A group's key is copied once, from its first
+/// row.
+///
+/// An aggregate with no input column (agg_pos SIZE_MAX) is COUNT(*),
+/// which folds the row count directly: ExecuteQuery rejects any other
+/// function without one.
+void FoldChunksIntoGroups(const std::vector<ColumnChunk>& chunks,
+                          const std::vector<size_t>& group_pos,
+                          const std::vector<AggSpec>& aggs,
+                          const std::vector<size_t>& agg_pos,
+                          GroupStates* out, uint64_t* kernel_calls) {
+  size_t rows = 0;
+  for (const ColumnChunk& c : chunks) rows += c.num_rows();
+  if (rows == 0) return;
+  std::map<size_t, ColumnBatch> concatenated;
+  auto column = [&](size_t pos) -> const ColumnBatch& {
+    if (chunks.size() == 1) return chunks[0].columns[pos];
+    auto it = concatenated.find(pos);
+    if (it == concatenated.end()) {
+      it = concatenated.emplace(pos, ConcatColumn(chunks, pos)).first;
+    }
+    return it->second;
+  };
+  std::vector<const ColumnBatch*> inputs(aggs.size(), nullptr);
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    if (agg_pos[a] != SIZE_MAX) inputs[a] = &column(agg_pos[a]);
+  }
+
+  auto fold_group = [&](AggState* states, const uint32_t* idx, size_t nidx) {
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      if (inputs[a] == nullptr) {
+        states[a].FoldCountOnly(nidx);
+      } else {
+        states[a].Fold(aggs[a].fn, *inputs[a], idx, nidx, kernel_calls);
+      }
+    }
+  };
+
+  if (group_pos.empty()) {
+    out->num_groups = 1;
+    out->states.resize(aggs.size());
+    fold_group(out->states.data(), nullptr, rows);
+    return;
+  }
+  std::vector<const ColumnBatch*> keys;
+  for (size_t p : group_pos) keys.push_back(&column(p));
+  KeyTable table(keys);
+  const std::vector<uint64_t> hashes = KeyTable::HashRows(keys, rows);
+  std::vector<uint32_t> group_of(rows);
+  for (size_t r = 0; r < rows; ++r) group_of[r] = table.Insert(r, hashes[r]);
+  // Counting sort by group: each group's row list comes out ascending.
+  const size_t num_groups = table.size();
+  std::vector<uint32_t> begin(num_groups + 1, 0);
+  for (uint32_t g : group_of) begin[g + 1]++;
+  for (size_t g = 0; g < num_groups; ++g) begin[g + 1] += begin[g];
+  std::vector<uint32_t> order(rows);
+  std::vector<uint32_t> fill(begin.begin(), begin.end() - 1);
+  for (size_t r = 0; r < rows; ++r) {
+    order[fill[group_of[r]]++] = static_cast<uint32_t>(r);
+  }
+  out->num_groups = num_groups;
+  out->states.resize(num_groups * aggs.size());
+  std::vector<uint32_t> first_rows(num_groups);
+  for (uint32_t g = 0; g < num_groups; ++g) {
+    first_rows[g] = static_cast<uint32_t>(table.first_row(g));
+    fold_group(&out->states[g * aggs.size()], order.data() + begin[g],
+               begin[g + 1] - begin[g]);
+  }
+  for (const ColumnBatch* k : keys) {
+    out->keys.columns.emplace_back(k->type())
+        .AppendGather(*k, first_rows.data(), num_groups);
+  }
+}
+
+/// Merge store-side partials into a node's groups: a key the node already
+/// has merges its states in, a new key is appended.
+void MergePushedGroups(GroupMap&& pushed, const std::vector<DataType>& types,
+                       size_t num_aggs, GroupStates* into) {
+  if (pushed.empty()) return;
+  if (into->num_groups == 0) {
+    into->keys.columns.clear();
+    for (DataType t : types) into->keys.columns.emplace_back(t);
+  }
+  std::vector<const ColumnBatch*> keys;
+  for (const ColumnBatch& c : into->keys.columns) keys.push_back(&c);
+  KeyTable table(keys, into->num_groups);
+  const std::vector<uint64_t> hashes =
+      KeyTable::HashRows(keys, into->num_groups);
+  for (size_t g = 0; g < into->num_groups; ++g) table.Insert(g, hashes[g]);
+
+  std::vector<Row> pushed_keys;
+  for (const auto& [key, states] : pushed) pushed_keys.push_back(key);
+  const ColumnChunk probe = ChunkFromRows(pushed_keys, types);
+  std::vector<const ColumnBatch*> probe_keys;
+  for (const ColumnBatch& c : probe.columns) probe_keys.push_back(&c);
+  const std::vector<uint64_t> probe_hashes =
+      KeyTable::HashRows(probe_keys, pushed_keys.size());
+  size_t i = 0;
+  for (auto& [key, states] : pushed) {
+    // Appended keys are not in the table: the pushed keys are distinct.
+    const uint32_t id = table.Find(probe_keys, i, probe_hashes[i]);
+    if (id != KeyTable::kNone) {
+      for (size_t a = 0; a < num_aggs; ++a) {
+        into->states[id * num_aggs + a].Merge(states[a]);
+      }
+    } else {
+      for (size_t k = 0; k < key.size(); ++k) {
+        into->keys.columns[k].AppendValue(key[k]);
+      }
+      for (AggState& s : states) into->states.push_back(std::move(s));
+      into->num_groups++;
+    }
+    ++i;
+  }
+}
+
+/// Group-by / aggregate over node-partitioned chunks. Each node folds its
+/// own rows into partial groups (one pool task per node), store-side
+/// partials from pushed morsels join their node's groups, and the
+/// partials merge in node order through one hash table over their keys,
+/// so the result is the same at every pool width. `local` means every
+/// group's rows live on one node: partials are final and never move;
+/// otherwise each partial's transfer to the coordinator is accounted.
+/// Fills `out` with the group columns then one column per aggregate;
+/// rows are made here, one per final group, sorted once by GroupKeyLess
+/// order. Moves the pushed partials out of `in` and leaves its chunks,
 /// which the caller frees after the query's phases are timed.
-Status AggregateByNode(NodeRows* in, const QuerySpec& spec, bool local,
+Status AggregateByNode(NodeChunks* in, const QuerySpec& spec, bool local,
                        ExecParallel* par, obs::QueryProfile* profile,
                        QueryResult* out) {
   std::vector<size_t> group_pos;
+  std::vector<DataType> group_types;
   for (const std::string& g : spec.group_by) {
     Result<size_t> pos = in->schema.IndexOf(g);
     if (!pos.ok()) {
       return Status::InvalidArgument("group-by column not in output: " + g);
     }
     group_pos.push_back(*pos);
+    group_types.push_back(in->schema.column(*pos).type);
   }
   std::vector<size_t> agg_pos;
   std::vector<DataType> agg_types;
@@ -1045,27 +1234,27 @@ Status AggregateByNode(NodeRows* in, const QuerySpec& spec, bool local,
     agg_pos.push_back(*pos);
     agg_types.push_back(in->schema.column(*pos).type);
   }
+  const size_t num_aggs = spec.aggregates.size();
   profile->local_group_by = local;
 
   // Kernel-call counters are per-task slots, summed after the barrier, so
   // the tasks stay write-disjoint.
-  std::vector<std::pair<Oid, const std::vector<Row>*>> node_rows;
-  node_rows.reserve(in->rows_by_node.size());
-  for (const auto& [node, rows] : in->rows_by_node) {
-    node_rows.emplace_back(node, &rows);
+  std::vector<std::pair<Oid, const std::vector<ColumnChunk>*>> node_chunks;
+  node_chunks.reserve(in->chunks_by_node.size());
+  for (const auto& [node, chunks] : in->chunks_by_node) {
+    node_chunks.emplace_back(node, &chunks);
   }
-  std::vector<GroupMap> partials(node_rows.size());
-  std::vector<uint64_t> partial_kernel_calls(node_rows.size(), 0);
-  par->Run(node_rows.size(), [&](size_t i) {
-    FoldRowsIntoGroups(*node_rows[i].second, group_pos, spec.aggregates,
-                       agg_pos, agg_types, &partials[i],
-                       &partial_kernel_calls[i]);
+  std::vector<GroupStates> partials(node_chunks.size());
+  std::vector<uint64_t> partial_kernel_calls(node_chunks.size(), 0);
+  par->Run(node_chunks.size(), [&](size_t i) {
+    FoldChunksIntoGroups(*node_chunks[i].second, group_pos, spec.aggregates,
+                         agg_pos, &partials[i], &partial_kernel_calls[i]);
   });
   for (uint64_t k : partial_kernel_calls) profile->exec_kernel_calls += k;
   // A node whose morsels ALL pushed has no row fold and enters here.
-  std::map<Oid, GroupMap> by_node;
-  for (size_t i = 0; i < node_rows.size(); ++i) {
-    by_node[node_rows[i].first] = std::move(partials[i]);
+  std::map<Oid, GroupStates> by_node;
+  for (size_t i = 0; i < node_chunks.size(); ++i) {
+    by_node[node_chunks[i].first] = std::move(partials[i]);
   }
   obs::Span partials_span;
   if (!in->partials_by_node.empty()) {
@@ -1074,19 +1263,50 @@ Status AggregateByNode(NodeRows* in, const QuerySpec& spec, bool local,
         "nodes", static_cast<int64_t>(in->partials_by_node.size()));
   }
   for (auto& [node, pushed] : in->partials_by_node) {
-    MergeGroups(std::move(pushed), &by_node[node]);
+    MergePushedGroups(std::move(pushed), group_types, num_aggs,
+                      &by_node[node]);
   }
   partials_span.End();
-  GroupMap merged;
-  for (auto& [node, partial] : by_node) {
+
+  // Merge the node partials in node order: every node's key rows go into
+  // one chunk, and a hash table over it maps each to its final group. A
+  // group's first partial moves in, later ones merge in.
+  ColumnChunk all_keys;
+  for (DataType t : group_types) all_keys.columns.emplace_back(t);
+  size_t total = 0;
+  for (const auto& [node, partial] : by_node) {
     if (!local) {
-      for (const auto& [key, states] : partial) {
-        for (const AggState& s : states) {
-          profile->network_bytes += s.TransferBytes();
+      for (const AggState& s : partial.states) {
+        profile->network_bytes += s.TransferBytes();
+      }
+    }
+    if (partial.num_groups == 0) continue;
+    for (size_t k = 0; k < group_types.size(); ++k) {
+      all_keys.columns[k].AppendRange(partial.keys.columns[k], 0,
+                                      partial.num_groups);
+    }
+    total += partial.num_groups;
+  }
+  std::vector<const ColumnBatch*> key_cols;
+  for (const ColumnBatch& c : all_keys.columns) key_cols.push_back(&c);
+  KeyTable table(key_cols, total);
+  const std::vector<uint64_t> hashes = KeyTable::HashRows(key_cols, total);
+  std::vector<AggState> merged;
+  size_t row = 0;
+  for (auto& [node, partial] : by_node) {
+    for (size_t g = 0; g < partial.num_groups; ++g, ++row) {
+      const uint32_t id = table.Insert(row, hashes[row]);
+      AggState* states = &partial.states[g * num_aggs];
+      if (id * num_aggs == merged.size()) {
+        for (size_t a = 0; a < num_aggs; ++a) {
+          merged.push_back(std::move(states[a]));
+        }
+      } else {
+        for (size_t a = 0; a < num_aggs; ++a) {
+          merged[id * num_aggs + a].Merge(states[a]);
         }
       }
     }
-    MergeGroups(std::move(partial), &merged);
   }
 
   std::vector<ColumnDef> cols;
@@ -1113,29 +1333,47 @@ Status AggregateByNode(NodeRows* in, const QuerySpec& spec, bool local,
 
   // A global aggregate (no GROUP BY) over zero input rows still yields
   // exactly one row (COUNT = 0, SUM = NULL), per SQL semantics.
-  if (merged.empty() && spec.group_by.empty()) {
-    merged.try_emplace(GroupKey{},
-                       std::vector<AggState>(spec.aggregates.size()));
+  size_t num_groups = table.size();
+  if (num_groups == 0 && spec.group_by.empty()) {
+    merged.resize(num_aggs);
+    num_groups = 1;
   }
-  for (const auto& [key, states] : merged) {
-    Row row = key;
-    for (size_t a = 0; a < states.size(); ++a) {
-      row.push_back(states[a].Finalize(spec.aggregates[a].fn, agg_types[a]));
+  // The one sort: final groups in GroupKeyLess order of their keys.
+  std::vector<uint32_t> sorted(num_groups);
+  for (uint32_t g = 0; g < num_groups; ++g) sorted[g] = g;
+  std::sort(sorted.begin(), sorted.end(), [&](uint32_t x, uint32_t y) {
+    for (const ColumnBatch& c : all_keys.columns) {
+      const int cmp = CompareCells(c, table.first_row(x), table.first_row(y));
+      if (cmp != 0) return cmp < 0;
     }
-    out->rows.push_back(std::move(row));
+    return false;
+  });
+  out->rows.reserve(num_groups);
+  for (uint32_t g : sorted) {
+    Row r;
+    r.reserve(group_pos.size() + num_aggs);
+    for (const ColumnBatch& c : all_keys.columns) {
+      r.push_back(c.GetValue(table.first_row(g)));
+    }
+    for (size_t a = 0; a < num_aggs; ++a) {
+      r.push_back(merged[g * num_aggs + a].Finalize(spec.aggregates[a].fn,
+                                                    agg_types[a]));
+    }
+    out->rows.push_back(std::move(r));
   }
   return Status::OK();
 }
 
-/// Gather every node's rows on the coordinator in node order, accounting
-/// rows produced on other nodes as network transfer.
-void Gather(NodeRows in, Oid coord, obs::QueryProfile* profile,
+/// Gather every node's chunks on the coordinator in node order, as the
+/// result's rows, accounting rows produced on other nodes as network
+/// transfer.
+void Gather(NodeChunks in, Oid coord, obs::QueryProfile* profile,
             QueryResult* out) {
   out->schema = std::move(in.schema);
-  for (auto& [node, rows] : in.rows_by_node) {
-    for (Row& r : rows) {
-      if (node != coord) profile->network_bytes += RowBytes(r);
-      out->rows.push_back(std::move(r));
+  for (const auto& [node, chunks] : in.chunks_by_node) {
+    for (const ColumnChunk& c : chunks) {
+      if (node != coord) profile->network_bytes += c.WireBytes();
+      AppendChunkRows(c, &out->rows);
     }
   }
 }
@@ -1343,6 +1581,11 @@ Result<QueryResult> ExecuteSystemQuery(EonCluster* cluster, Node* coord,
       out_names.push_back(a.column);
     }
   }
+  if (out_names.empty() && table_schema.num_columns() > 0) {
+    // A bare COUNT(*) names no column, but a chunk counts its rows by its
+    // columns: ride the first one along, as user queries do.
+    out_names.push_back(table_schema.column(0).name);
+  }
 
   std::vector<size_t> out_pos;
   std::vector<ColumnDef> out_cols;
@@ -1353,10 +1596,9 @@ Result<QueryResult> ExecuteSystemQuery(EonCluster* cluster, Node* coord,
   }
 
   // Materialized rows are full-width in schema order, so the predicate's
-  // table-column indexes evaluate directly against them.
-  NodeRows input;
-  input.schema = Schema(std::move(out_cols));
-  std::vector<Row>& rows = input.rows_by_node[coord->oid()];
+  // table-column indexes evaluate directly against them. The survivors
+  // become the coordinator's one chunk of input.
+  std::vector<Row> rows;
   for (const Row& full : all_rows) {
     if (spec.scan.predicate && !spec.scan.predicate->Eval(full)) continue;
     Row out;
@@ -1364,6 +1606,12 @@ Result<QueryResult> ExecuteSystemQuery(EonCluster* cluster, Node* coord,
     for (size_t p : out_pos) out.push_back(full[p]);
     rows.push_back(std::move(out));
   }
+  std::vector<DataType> out_types;
+  for (const ColumnDef& c : out_cols) out_types.push_back(c.type);
+  NodeChunks input;
+  input.schema = Schema(std::move(out_cols));
+  std::vector<ColumnChunk>& chunks = input.chunks_by_node[coord->oid()];
+  if (!rows.empty()) chunks.push_back(ChunkFromRows(rows, out_types));
   scan_scope.End();
 
   QueryResult result;
@@ -1614,7 +1862,7 @@ Result<QueryResult> ExecuteQuery(EonCluster* cluster,
           ? &spec
           : nullptr;
   PhaseScope scan_scope(cluster->clock(), &profile, obs::QueryPhase::kScan);
-  EON_ASSIGN_OR_RETURN(NodeRows data,
+  EON_ASSIGN_OR_RETURN(NodeChunks data,
                        ScanDistributed(cluster, context, *snapshot, spec.scan,
                                        left_extras, agg_push, &profile, &par));
   scan_scope.End();
@@ -1632,7 +1880,7 @@ Result<QueryResult> ExecuteQuery(EonCluster* cluster,
     PhaseScope right_scan_scope(cluster->clock(), &profile,
                                 obs::QueryPhase::kScan);
     EON_ASSIGN_OR_RETURN(
-        NodeRows right,
+        NodeChunks right,
         ScanDistributed(cluster, context, *snapshot, spec.join->right,
                         right_extras, /*agg_push=*/nullptr, &profile, &par));
     right_scan_scope.End();

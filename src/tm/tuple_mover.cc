@@ -149,9 +149,9 @@ Status TupleMover::RunJob(Node* executor, const ProjectionDef& proj,
     }
     scan.deletes = &deletes;
     EON_ASSIGN_OR_RETURN(
-        std::vector<Row> rows,
+        ColumnChunk chunk,
         ScanRosContainer(proj_schema, input.base_key, executor->cache(), scan));
-    runs.push_back(std::move(rows));
+    runs.push_back(ChunkToRows(chunk));
   }
 
   // Containers are each sorted; a k-way merge yields the new sorted run

@@ -16,6 +16,30 @@
 namespace eon {
 namespace {
 
+/// The scan's chunk as rows, so assertions index (row, column).
+Result<std::vector<Row>> ScanRows(const Schema& schema,
+                                  const std::string& base_key,
+                                  FileFetcher* fetcher,
+                                  const RosScanOptions& options,
+                                  RosScanStats* stats = nullptr) {
+  EON_ASSIGN_OR_RETURN(
+      ColumnChunk chunk,
+      ScanRosContainer(schema, base_key, fetcher, options, stats));
+  return ChunkToRows(chunk);
+}
+
+/// DecodeChunkSelected into a batch, returned as Values.
+Status DecodeSelectedValues(const ChunkView& chunk, DataType type,
+                            const uint8_t* sel, std::vector<Value>* out,
+                            uint64_t* values_decoded = nullptr,
+                            uint64_t* values_unpacked = nullptr) {
+  ColumnBatch batch(type);
+  EON_RETURN_IF_ERROR(DecodeChunkSelected(chunk, type, sel, &batch,
+                                          values_decoded, values_unpacked));
+  for (size_t i = 0; i < batch.size(); ++i) out->push_back(batch.GetValue(i));
+  return Status::OK();
+}
+
 // ---------------------------------------------------------------- Values
 
 TEST(ValueTest, CompareTotalOrderWithNulls) {
@@ -203,7 +227,7 @@ TEST(EncodingTest, WriterFallsBackToPlainWhenSampleMissesNull) {
   DirectFetcher fetcher(&store);
   RosScanOptions scan;
   scan.output_columns = {0};
-  auto out = ScanRosContainer(schema, "data/fallback", &fetcher, scan);
+  auto out = ScanRows(schema, "data/fallback", &fetcher, scan);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_EQ(out->size(), values.size());
   EXPECT_TRUE((*out)[3000][0].is_null());
@@ -351,7 +375,7 @@ TEST(EncodingTest, BitPackedCompressesLowCardinalityThreefold) {
   for (size_t i = 0; i < values.size(); i += 997) sel[i] = 1;  // sparse
   std::vector<Value> got;
   uint64_t values_decoded = 0, values_unpacked = 0;
-  ASSERT_TRUE(DecodeChunkSelected(*view, DataType::kInt64, sel.data(), &got,
+  ASSERT_TRUE(DecodeSelectedValues(*view, DataType::kInt64, sel.data(), &got,
                                   &values_decoded, &values_unpacked)
                   .ok());
   size_t k = 0;
@@ -455,7 +479,7 @@ TEST_P(SelectedDecode, MatchesFilteredFullDecode) {
       }
       std::vector<Value> got;
       uint64_t values_decoded = 0;
-      ASSERT_TRUE(DecodeChunkSelected(*view, c.type, sel.data(), &got,
+      ASSERT_TRUE(DecodeSelectedValues(*view, c.type, sel.data(), &got,
                                       &values_decoded)
                       .ok());
       ASSERT_EQ(got.size(), selected) << c.name << " n=" << n;
@@ -471,7 +495,7 @@ TEST_P(SelectedDecode, MatchesFilteredFullDecode) {
 
     // nullptr selection = full decode.
     std::vector<Value> all;
-    ASSERT_TRUE(DecodeChunkSelected(*view, c.type, nullptr, &all).ok());
+    ASSERT_TRUE(DecodeSelectedValues(*view, c.type, nullptr, &all).ok());
     ASSERT_EQ(all.size(), full.size());
     for (size_t i = 0; i < n; ++i) EXPECT_EQ(all[i].Compare(full[i]), 0);
   }
@@ -748,7 +772,7 @@ TEST_F(RosTest, RoundTripAllColumns) {
 
   RosScanOptions scan;
   scan.output_columns = {0, 1, 2};
-  auto out = ScanRosContainer(schema_, "data/test", &fetcher_, scan);
+  auto out = ScanRows(schema_, "data/test", &fetcher_, scan);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_EQ(out->size(), 1000u);
   for (size_t i = 0; i < 1000; ++i) {
@@ -762,7 +786,7 @@ TEST_F(RosTest, ColumnStoreDecodesOnlyNeededColumns) {
   RosScanOptions scan;
   scan.output_columns = {1};  // Only "price".
   RosScanStats stats;
-  auto out = ScanRosContainer(schema_, "data/test", &fetcher_, scan, &stats);
+  auto out = ScanRows(schema_, "data/test", &fetcher_, scan, &stats);
   ASSERT_TRUE(out.ok());
   // One whole-object fetch per container; only the price section is
   // decoded (true column store, Section 2.3).
@@ -777,7 +801,7 @@ TEST_F(RosTest, BlockPruningViaMinMax) {
   scan.output_columns = {0};
   scan.predicate = Predicate::Cmp(0, CmpOp::kGe, Value::Int(950));
   RosScanStats stats;
-  auto out = ScanRosContainer(schema_, "data/test", &fetcher_, scan, &stats);
+  auto out = ScanRows(schema_, "data/test", &fetcher_, scan, &stats);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->size(), 50u);
   EXPECT_EQ(stats.blocks_total, 10u);
@@ -790,7 +814,7 @@ TEST_F(RosTest, DeleteVectorFiltersRows) {
   RosScanOptions scan;
   scan.output_columns = {0};
   scan.deletes = &dv;
-  auto out = ScanRosContainer(schema_, "data/test", &fetcher_, scan);
+  auto out = ScanRows(schema_, "data/test", &fetcher_, scan);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->size(), 96u);
   EXPECT_EQ((*out)[0][0].int_value(), 3);
@@ -802,7 +826,7 @@ TEST_F(RosTest, RowRangeRestriction) {
   scan.output_columns = {0};
   scan.row_begin = 25;
   scan.row_end = 75;
-  auto out = ScanRosContainer(schema_, "data/test", &fetcher_, scan);
+  auto out = ScanRows(schema_, "data/test", &fetcher_, scan);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->size(), 50u);
   EXPECT_EQ((*out)[0][0].int_value(), 25);
@@ -840,7 +864,7 @@ TEST_F(RosTest, EveryBitFlipAndTruncationIsCorruption) {
     MemObjectStore store;
     ASSERT_TRUE(store.Put("data/bad", bad).ok());
     DirectFetcher fetcher(&store);
-    auto rows = ScanRosContainer(schema_, "data/bad", &fetcher, scan);
+    auto rows = ScanRows(schema_, "data/bad", &fetcher, scan);
     auto positions =
         FindMatchingPositions(schema_, "data/bad", &fetcher, all_columns);
     if (!rows.status().IsCorruption() || !positions.status().IsCorruption()) {
@@ -853,7 +877,7 @@ TEST_F(RosTest, EveryBitFlipAndTruncationIsCorruption) {
 
   // The intact object reads back whole.
   {
-    auto rows = ScanRosContainer(schema_, "data/test", &fetcher_, scan);
+    auto rows = ScanRows(schema_, "data/test", &fetcher_, scan);
     ASSERT_TRUE(rows.ok()) << rows.status().ToString();
     EXPECT_EQ(rows->size(), 20u);
     auto positions =
@@ -918,7 +942,7 @@ TEST_F(RosTest, MalformedDirectoryIsCorruption) {
     MemObjectStore store;
     EXPECT_TRUE(store.Put("data/bad", obj).ok());
     DirectFetcher fetcher(&store);
-    return ScanRosContainer(schema_, "data/bad", &fetcher, scan).status();
+    return ScanRows(schema_, "data/bad", &fetcher, scan).status();
   };
 
   // The rewrite itself is faithful.
@@ -1011,7 +1035,7 @@ TEST_F(RosTest, ScanMatchesRowOracle) {
     scan.row_begin = kBegin;
     scan.row_end = kEnd;
     RosScanStats stats;
-    auto out = ScanRosContainer(schema_, "data/test", &fetcher_, scan, &stats);
+    auto out = ScanRows(schema_, "data/test", &fetcher_, scan, &stats);
     ASSERT_TRUE(out.ok()) << "predicate " << p << ": "
                           << out.status().ToString();
     ASSERT_EQ(out->size(), expect.size()) << "predicate " << p;
@@ -1037,7 +1061,7 @@ TEST_F(RosTest, LateMatDecodesFewerValuesOnSelectivePredicate) {
 
   RosScanStats stats;
   ASSERT_TRUE(
-      ScanRosContainer(schema_, "data/test", &fetcher_, scan, &stats).ok());
+      ScanRows(schema_, "data/test", &fetcher_, scan, &stats).ok());
   EXPECT_EQ(stats.rows_output, rows.size() / 5);
   // Decoding every output value of every row is the full-decode count.
   const uint64_t full_decode = rows.size() * scan.output_columns.size();
@@ -1054,7 +1078,7 @@ TEST_F(RosTest, NothingSurvivingDecodesNoOutputColumn) {
       Predicate::And(Predicate::Cmp(0, CmpOp::kGe, Value::Int(10)),
                      Predicate::Cmp(0, CmpOp::kLt, Value::Int(10)));
   RosScanStats stats;
-  auto out = ScanRosContainer(schema_, "data/test", &fetcher_, scan, &stats);
+  auto out = ScanRows(schema_, "data/test", &fetcher_, scan, &stats);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_TRUE(out->empty());
   // Blocks 1..4 are refuted by min/max (id >= 100 > 10); block 0's range
@@ -1068,7 +1092,7 @@ TEST_F(RosTest, NothingSurvivingDecodesNoOutputColumn) {
   pred_only.output_columns = {0};
   RosScanStats base;
   ASSERT_TRUE(
-      ScanRosContainer(schema_, "data/test", &fetcher_, pred_only, &base)
+      ScanRows(schema_, "data/test", &fetcher_, pred_only, &base)
           .ok());
   EXPECT_EQ(stats.values_decoded, base.values_decoded);
   EXPECT_EQ(stats.values_unpacked, base.values_unpacked);
@@ -1078,7 +1102,7 @@ TEST_F(RosTest, NothingSurvivingDecodesNoOutputColumn) {
   scan.predicate = Predicate::Cmp(0, CmpOp::kLt, Value::Int(10));
   RosScanStats hit;
   ASSERT_TRUE(
-      ScanRosContainer(schema_, "data/test", &fetcher_, scan, &hit).ok());
+      ScanRows(schema_, "data/test", &fetcher_, scan, &hit).ok());
   EXPECT_EQ(hit.files_fetched, 1u);
   EXPECT_EQ(hit.rows_output, 10u);
 }
@@ -1106,7 +1130,7 @@ TEST_F(RosTest, EmptyContainer) {
   EXPECT_EQ(build_.row_count, 0u);
   RosScanOptions scan;
   scan.output_columns = {0, 1, 2};
-  auto out = ScanRosContainer(schema_, "data/test", &fetcher_, scan);
+  auto out = ScanRows(schema_, "data/test", &fetcher_, scan);
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out->empty());
 }

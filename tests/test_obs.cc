@@ -634,6 +634,11 @@ TEST(StoreMetricsTest, ResetForTestZeroesInstanceNotRegistry) {
   opts.put_latency_micros = 0;
   opts.list_latency_micros = 0;
   opts.metrics_name = "reset_test";
+  // The registry is process-wide: count from its value before this test,
+  // so the test also holds under --gtest_repeat.
+  const LabelSet get_label{{"store", "reset_test"}, {"op", "get"}};
+  const double gets_before = MetricsRegistry::Default()->Snapshot().Value(
+      "eon_store_requests_total", get_label);
   SimObjectStore store(opts, &clock);
   ASSERT_TRUE(store.Put("k", "0123456789").ok());
   ASSERT_TRUE(store.Get("k").ok());
@@ -650,9 +655,7 @@ TEST(StoreMetricsTest, ResetForTestZeroesInstanceNotRegistry) {
   // The registry mirror stays monotone across the reset.
   MetricsSnapshot snap = MetricsRegistry::Default()->Snapshot();
   EXPECT_DOUBLE_EQ(
-      snap.Value("eon_store_requests_total",
-                 LabelSet{{"store", "reset_test"}, {"op", "get"}}),
-      2.0);
+      snap.Value("eon_store_requests_total", get_label) - gets_before, 2.0);
 }
 
 // --- End-to-end: QueryProfile on a small TPC-H cluster --------------------

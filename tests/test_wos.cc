@@ -12,9 +12,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <functional>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "engine/ddl.h"
@@ -31,6 +34,69 @@
 
 namespace eon {
 namespace {
+
+/// Counts a writer thread's acknowledged commits so a test's main loop
+/// can make each of its rounds wait for writer progress: without the
+/// wait, the rounds can all finish before the writer's first attempt and
+/// the race the test is named for never happens.
+class AckLatch {
+ public:
+  void Ack() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++acked_;
+    }
+    cv_.notify_all();
+  }
+  uint64_t acked() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return acked_;
+  }
+  /// Waits until more than `mark` commits are acknowledged; false after
+  /// `timeout` without one.
+  bool WaitBeyond(uint64_t mark, std::chrono::seconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [&] { return acked_ > mark; });
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  uint64_t acked_ = 0;
+};
+
+/// Runs `rounds` calls of `round(i)`; before each one, waits (bounded)
+/// until `latch` has acknowledged a commit since the previous round
+/// began, so every round overlaps live writer traffic. Prints the
+/// commits interleaved with each round. Returns false, after recording a
+/// test failure, when the writer stalls or a round fails.
+bool RunRoundsInterleaved(AckLatch* latch, int rounds,
+                          const std::function<bool(int)>& round) {
+  constexpr std::chrono::seconds kWriterTimeout{60};
+  std::vector<uint64_t> interleaved;
+  uint64_t mark = 0;
+  for (int i = 0; i < rounds; ++i) {
+    if (!latch->WaitBeyond(mark, kWriterTimeout)) {
+      ADD_FAILURE() << "writer acknowledged no commit within "
+                    << kWriterTimeout.count() << " s before round " << i;
+      return false;
+    }
+    const uint64_t now = latch->acked();
+    if (i > 0) interleaved.push_back(now - mark);
+    mark = now;
+    if (!round(i)) return false;
+  }
+  if (!latch->WaitBeyond(mark, kWriterTimeout)) {
+    ADD_FAILURE() << "writer acknowledged no commit within "
+                  << kWriterTimeout.count() << " s after the last round";
+    return false;
+  }
+  interleaved.push_back(latch->acked() - mark);
+  std::string line = "commits interleaved per round:";
+  for (uint64_t n : interleaved) line += " " + std::to_string(n);
+  std::printf("%s\n", line.c_str());
+  return true;
+}
 
 /// Test-local store decorator: fails the k-th PUT of a `data/` key
 /// (1-based; 0 = never) and records every `data/` key it was asked to PUT
@@ -905,6 +971,7 @@ TEST(WosTest, KillAndRestartUnderConcurrentInsertsIsSafe) {
 
   std::atomic<bool> stop{false};
   std::atomic<int64_t> acked{0};
+  AckLatch latch;
   std::thread writer([&] {
     InsertOptions on_n1;
     on_n1.connected_node = "n1";
@@ -912,16 +979,25 @@ TEST(WosTest, KillAndRestartUnderConcurrentInsertsIsSafe) {
     while (!stop.load()) {
       // Mid-kill inserts may fail (node down, WAL closed) — never crash.
       auto ins = InsertInto(b->cluster.get(), "t", MakeRows(next, 1), on_n1);
-      if (ins.ok()) acked++;
+      if (ins.ok()) {
+        acked++;
+        latch.Ack();
+      }
       next++;
     }
   });
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(b->cluster->KillNode(n1->oid()).ok());
-    ASSERT_TRUE(b->cluster->RestartNode(n1->oid()).ok());
-  }
+  const bool rounds_ok = RunRoundsInterleaved(&latch, 8, [&](int i) {
+    Status killed = b->cluster->KillNode(n1->oid());
+    EXPECT_TRUE(killed.ok()) << "round " << i << ": " << killed.ToString();
+    if (!killed.ok()) return false;
+    Status restarted = b->cluster->RestartNode(n1->oid());
+    EXPECT_TRUE(restarted.ok()) << "round " << i << ": "
+                                << restarted.ToString();
+    return restarted.ok();
+  });
   stop.store(true);
   writer.join();
+  ASSERT_TRUE(rounds_ok);
 
   // Acknowledged inserts were durable before their ack: all are visible.
   auto r = RunQuery(b->cluster.get(), AggQuery());
@@ -946,6 +1022,7 @@ TEST(WosTest, InstanceRecoveryUnderConcurrentCommitsLosesNoRows) {
   std::atomic<bool> stop{false};
   std::mutex acked_mu;
   std::set<int64_t> acked;
+  AckLatch latch;
   std::thread writer([&] {
     InsertOptions on_n1;
     on_n1.connected_node = "n1";
@@ -958,21 +1035,25 @@ TEST(WosTest, InstanceRecoveryUnderConcurrentCommitsLosesNoRows) {
               ? InsertInto(b->cluster.get(), "t", rows, on_n1).ok()
               : CopyInto(b->cluster.get(), "t", rows).ok();
       if (!ok) continue;
-      std::lock_guard<std::mutex> lock(acked_mu);
-      acked.insert({next, next + 1});
+      {
+        std::lock_guard<std::mutex> lock(acked_mu);
+        acked.insert({next, next + 1});
+      }
+      latch.Ack();
     }
   });
-  for (int i = 0; i < 25; ++i) {
+  const bool rounds_ok = RunRoundsInterleaved(&latch, 25, [&](int i) {
     Status destroyed = b->cluster->DestroyNodeInstance(n3->oid());
     EXPECT_TRUE(destroyed.ok()) << destroyed.ToString();
     Status recovered =
         b->cluster->RecoverDestroyedNode(n3->oid(), /*warm_cache=*/false);
     EXPECT_TRUE(recovered.ok()) << "round " << i << ": "
                                 << recovered.ToString();
-    if (!destroyed.ok() || !recovered.ok()) break;
-  }
+    return destroyed.ok() && recovered.ok();
+  });
   stop.store(true);
   writer.join();
+  ASSERT_TRUE(rounds_ok);
   ASSERT_TRUE(n3->is_up());
   EXPECT_EQ(n3->catalog()->version(), n1->catalog()->version());
 
@@ -992,6 +1073,37 @@ TEST(WosTest, InstanceRecoveryUnderConcurrentCommitsLosesNoRows) {
   EXPECT_GT(acked.size(), 0u);
   for (int64_t id : acked) {
     EXPECT_TRUE(seen.count(id)) << "acknowledged row " << id << " missing";
+  }
+}
+
+// Instance loss wipes the node's catalog, whose oid counter restarts at
+// 1. A key minted after the wipe but before recovery (a COPY still in
+// flight on the node) must not repeat one the old instance wrote, so
+// the wipe draws a fresh instance id. Deterministic: the post-wipe mints
+// walk the restarted oids past every pre-wipe one.
+TEST(WosTest, MintStorageKeyNeverRepeatsAcrossInstanceLoss) {
+  auto b = MakeCluster(1, 1);
+  ASSERT_NE(b, nullptr);
+  Node* n3 = b->cluster->node_by_name("n3");
+  ASSERT_NE(n3, nullptr);
+
+  std::set<std::string> keys;
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(keys.insert(n3->MintStorageKey("data/")).second);
+  }
+  ASSERT_TRUE(b->cluster->DestroyNodeInstance(n3->oid()).ok());
+  constexpr int kPostWipeMints = 4096;
+  for (int i = 0; i < kPostWipeMints; ++i) {
+    const std::string key = n3->MintStorageKey("data/");
+    ASSERT_TRUE(keys.insert(key).second)
+        << "post-wipe mint " << i << " repeated " << key;
+  }
+  ASSERT_TRUE(
+      b->cluster->RecoverDestroyedNode(n3->oid(), /*warm_cache=*/false).ok());
+  for (int i = 0; i < 8; ++i) {
+    const std::string key = n3->MintStorageKey("data/");
+    ASSERT_TRUE(keys.insert(key).second) << "post-recovery mint repeated "
+                                         << key;
   }
 }
 
