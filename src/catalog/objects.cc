@@ -1,5 +1,9 @@
 #include "catalog/objects.h"
 
+#include <algorithm>
+#include <map>
+
+#include "columnar/sort.h"
 #include "columnar/value_codec.h"
 #include "common/codec.h"
 #include "common/hash.h"
@@ -32,6 +36,47 @@ uint32_t ProjectionDef::SegHashRow(const Row& row) const {
     first = false;
   }
   return h;
+}
+
+std::vector<ContainerRows> PlaceRows(const ShardingConfig& sharding,
+                                     const TableDef& table,
+                                     const ProjectionDef& proj,
+                                     const std::vector<Row>& table_rows) {
+  std::map<ShardId, std::vector<Row>> by_shard;
+  for (const Row& row : table_rows) {
+    Row pr;
+    pr.reserve(proj.columns.size());
+    for (size_t tc : proj.columns) pr.push_back(row[tc]);
+    const ShardId s = proj.replicated()
+                          ? sharding.replica_shard()
+                          : sharding.ShardForHash(proj.SegHashRow(pr));
+    by_shard[s].push_back(std::move(pr));
+  }
+  std::optional<size_t> partition_pos;
+  if (table.partition_column.has_value()) {
+    auto it = std::find(proj.columns.begin(), proj.columns.end(),
+                        *table.partition_column);
+    if (it != proj.columns.end()) {
+      partition_pos = static_cast<size_t>(it - proj.columns.begin());
+    }
+  }
+
+  std::vector<ContainerRows> groups;
+  for (auto& [shard, rows] : by_shard) {
+    if (!partition_pos.has_value()) {
+      groups.push_back(ContainerRows{shard, std::move(rows)});
+    } else {
+      std::map<Value, std::vector<Row>> by_partition;
+      for (Row& row : rows) {
+        by_partition[row[*partition_pos]].push_back(std::move(row));
+      }
+      for (auto& [value, part_rows] : by_partition) {
+        groups.push_back(ContainerRows{shard, std::move(part_rows)});
+      }
+    }
+  }
+  for (ContainerRows& g : groups) SortRowsBy(&g.rows, proj.sort_columns);
+  return groups;
 }
 
 namespace {

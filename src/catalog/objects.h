@@ -122,6 +122,28 @@ struct ProjectionDef {
   uint32_t SegHashRow(const Row& row) const;
 };
 
+/// The rows of one ROS container a load writes: its shard and its
+/// projection-width rows, in the projection's sort order.
+struct ContainerRows {
+  ShardId shard = 0;
+  std::vector<Row> rows;
+};
+
+/// The one row placement, shared by the load path and the WOS read path.
+/// Projects full-width `table_rows` onto `proj`, buckets them by shard
+/// (ShardForHash of SegHashRow; the replica shard for a replicated
+/// projection), splits each shard's rows into ascending groups of the
+/// table's partition value when `proj` carries the partition column (one
+/// partition per container, Section 2.1), and stable-sorts each group on
+/// the projection's sort columns. Groups come out in (shard, partition)
+/// order, none empty: a load writes one container per group, in this
+/// order, so a shard's groups concatenated are the rows a rescan of those
+/// containers returns.
+std::vector<ContainerRows> PlaceRows(const ShardingConfig& sharding,
+                                     const TableDef& table,
+                                     const ProjectionDef& proj,
+                                     const std::vector<Row>& table_rows);
+
 /// Storage metadata for one ROS container. In Eon mode this is a per-shard
 /// catalog object replicated to every subscriber of `shard` (Section 3.1).
 struct StorageContainerMeta {

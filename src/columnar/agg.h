@@ -2,7 +2,6 @@
 #define EON_COLUMNAR_AGG_H_
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <vector>
 
@@ -59,19 +58,51 @@ struct AggState {
   uint64_t TransferBytes() const;
 };
 
-using GroupKey = std::vector<Value>;
-
-struct GroupKeyLess {
-  bool operator()(const GroupKey& a, const GroupKey& b) const {
-    for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-      int c = a[i].Compare(b[i]);
-      if (c != 0) return c < 0;
-    }
-    return a.size() < b.size();
-  }
+/// One aggregate of a group fold: `fn` over input column `column`.
+/// SIZE_MAX means COUNT(*), which has no input column and counts every
+/// row.
+struct AggColumn {
+  AggFn fn = AggFn::kCount;
+  size_t column = SIZE_MAX;
 };
 
-using GroupMap = std::map<GroupKey, std::vector<AggState>, GroupKeyLess>;
+/// Partial aggregates: `num_groups` groups in first-appearance order,
+/// their key values as the rows of `keys` (one batch per grouping column)
+/// and their states, aggregate a of group g at states[g * num_aggs + a].
+struct GroupStates {
+  size_t num_groups = 0;
+  ColumnChunk keys;
+  std::vector<AggState> states;
+
+  /// Sum of the states' TransferBytes (the keys not included).
+  uint64_t StateBytes() const;
+};
+
+/// The one group fold. Folds the rows of `chunks` (same columns; read in
+/// order as one input) into per-group states: rows are grouped through a
+/// KeyTable over the `group_pos` columns, then every group folds its rows
+/// in ascending order with AggState::Fold, so int64 SUM/AVG/MIN/MAX run
+/// the vectorized kernels and order-sensitive accumulators (doubles) see
+/// rows in input order. No `group_pos` means one global group. A group's
+/// key is copied once, from its first row. Zero input rows give zero
+/// groups. `kernel_calls`, when non-null, counts kernel invocations.
+void FoldChunksIntoGroups(const std::vector<ColumnChunk>& chunks,
+                          const std::vector<size_t>& group_pos,
+                          const std::vector<AggColumn>& aggs,
+                          GroupStates* out, uint64_t* kernel_calls);
+
+/// Merges `parts` (each with `num_aggs` states per group, keys typed
+/// alike) in order through one KeyTable over their keys: a group's first
+/// partial moves in, later ones merge into it, and groups keep
+/// first-appearance order. One part is returned as is.
+GroupStates MergeGroupStates(std::vector<GroupStates> parts, size_t num_aggs);
+
+/// One row per group, sorted by key in Value::Compare order (NULL first):
+/// the key values, then aggregate a finalized as aggs[a].fn over input
+/// type input_types[a].
+std::vector<Row> FinalizeSortedGroups(const GroupStates& groups,
+                                      const std::vector<AggColumn>& aggs,
+                                      const std::vector<DataType>& input_types);
 
 }  // namespace eon
 

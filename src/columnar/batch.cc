@@ -260,4 +260,15 @@ BatchSelection BatchSelection::FromMask(const uint8_t* sel, size_t row_count) {
   return s;
 }
 
+ColumnBatch ConcatColumn(const std::vector<ColumnChunk>& chunks, size_t pos) {
+  size_t rows = 0;
+  for (const ColumnChunk& c : chunks) rows += c.num_rows();
+  ColumnBatch out(chunks.front().columns[pos].type());
+  out.Reserve(rows);
+  for (const ColumnChunk& c : chunks) {
+    out.AppendRange(c.columns[pos], 0, c.num_rows());
+  }
+  return out;
+}
+
 }  // namespace eon

@@ -94,13 +94,17 @@ struct ColumnChunk {
 };
 
 /// The chunk ↔ rows boundary, shared by every caller that still speaks
-/// rows (results, the tuple mover's merge, DML pre-images, the near-data
-/// response, system tables). Appends the chunk's rows to `rows`.
+/// rows (results, the tuple mover's merge, DML pre-images, WOS memtable
+/// rows, live-aggregate maintenance, system tables). Appends the chunk's
+/// rows to `rows`.
 void AppendChunkRows(const ColumnChunk& chunk, std::vector<Row>* rows);
 std::vector<Row> ChunkToRows(const ColumnChunk& chunk);
 /// Columnarizes rows whose column c has type types[c].
 ColumnChunk ChunkFromRows(const std::vector<Row>& rows,
                           const std::vector<DataType>& types);
+
+/// Column `pos` of every chunk (at least one), concatenated in order.
+ColumnBatch ConcatColumn(const std::vector<ColumnChunk>& chunks, size_t pos);
 
 /// A set of selected rows over a batch, stored either as a byte mask or as
 /// an ascending index list — picked by density, since sparse selections

@@ -54,7 +54,7 @@ Status ExecuteObjectScan(const RawObjectReader& reader,
       return Status::InvalidArgument("ScanObject: group column out of range");
     }
   }
-  for (const NdpAggSpec& a : request.aggregates) {
+  for (const AggColumn& a : request.aggregates) {
     if (a.column == SIZE_MAX) {
       if (a.fn != AggFn::kCount) {
         return Status::InvalidArgument(
@@ -89,41 +89,25 @@ Status ExecuteObjectScan(const RawObjectReader& reader,
       ColumnChunk chunk,
       ScanRosContainer(request.schema, request.base_key, &fetcher, scan,
                        &response->scan));
-  // The response is row-shaped (the S3-Select payload): rows are made here.
-  std::vector<Row> rows = ChunkToRows(chunk);
   response->rows_visited = response->scan.rows_visited;
-  response->rows_output = rows.size();
+  response->rows_output = chunk.num_rows();
   response->bytes_scanned = response->scan.bytes_fetched;
 
   if (request.aggregates.empty()) {
-    response->response_bytes = 0;
-    for (const Row& row : rows) response->response_bytes += RowBytes(row);
-    response->rows = std::move(rows);
+    response->response_bytes = chunk.WireBytes();
+    response->chunk = std::move(chunk);
     return Status::OK();
   }
 
-  // Aggregate pushdown: fold survivors into per-group partials in row
-  // order. Per-value accumulation is bit-identical to the engine's batch
-  // fold for the pushable (exact) aggregate set.
-  for (const Row& row : rows) {
-    GroupKey key;
-    key.reserve(request.group_columns.size());
-    for (size_t pos : request.group_columns) key.push_back(row[pos]);
-    auto [it, inserted] = response->groups.try_emplace(
-        std::move(key), std::vector<AggState>(request.aggregates.size()));
-    for (size_t a = 0; a < request.aggregates.size(); ++a) {
-      const NdpAggSpec& spec = request.aggregates[a];
-      if (spec.column == SIZE_MAX) {
-        it->second[a].FoldCountOnly(1);
-      } else {
-        it->second[a].Accumulate(spec.fn, row[spec.column]);
-      }
-    }
-  }
-  for (const auto& [key, states] : response->groups) {
-    response->response_bytes += RowBytes(key);
-    for (const AggState& s : states) response->response_bytes += s.TransferBytes();
-  }
+  // Aggregate pushdown: survivors fold into per-group partials through
+  // the engine's own group fold, so they merge with local partials bit
+  // for bit (the pushable set is exactly mergeable).
+  std::vector<ColumnChunk> input;
+  input.push_back(std::move(chunk));
+  FoldChunksIntoGroups(input, request.group_columns, request.aggregates,
+                       &response->groups, &response->scan.kernel_calls);
+  response->response_bytes =
+      response->groups.keys.WireBytes() + response->groups.StateBytes();
   return Status::OK();
 }
 

@@ -15,21 +15,14 @@
 
 namespace eon {
 
-/// One aggregate to fold store-side. `column` is a position within the
-/// pushed output row (SIZE_MAX for COUNT(*) with no input column). Only
+/// True when `fn` over `input_type` may be folded store-side and merged
+/// with local partials without changing any result bit. Only
 /// order-independent, exactly-mergeable aggregates are pushable: COUNT,
 /// MIN/MAX over any type, and SUM/AVG over int64 (whose partials stay
 /// exact under the repo's |sum| < 2^53 assumption). Double SUM/AVG and
 /// COUNT DISTINCT must stay on the local path — the former because
 /// floating-point addition order would break bit-identity, the latter
 /// because its state transfer is unbounded.
-struct NdpAggSpec {
-  AggFn fn = AggFn::kCount;
-  size_t column = SIZE_MAX;
-};
-
-/// True when `fn` over `input_type` may be folded store-side and merged
-/// with local partials without changing any result bit.
 bool IsPushableAggregate(AggFn fn, DataType input_type);
 
 /// A near-data scan request against one ROS container living under
@@ -53,26 +46,30 @@ struct ScanObjectRequest {
   /// duration (requests never outlive their ScanObject invocation).
   const DeleteVector* deletes = nullptr;
   /// When non-empty, surviving rows are folded into per-group partial
-  /// aggregates store-side and `rows` stays empty in the response.
-  std::vector<NdpAggSpec> aggregates;
+  /// aggregates store-side and the response carries those instead of
+  /// rows. Each `column` is a position within the pushed output row
+  /// (SIZE_MAX for COUNT(*)), and each aggregate must be pushable.
+  std::vector<AggColumn> aggregates;
   /// Positions of the grouping columns within the output row, in group
   /// order (empty = one global group).
   std::vector<size_t> group_columns;
 };
 
-/// What a near-data scan returns: surviving rows (row pushdown) or
-/// partial-aggregate groups (aggregate pushdown), plus the accounting the
-/// cost models and profile need.
+/// What a near-data scan returns: the surviving rows as one chunk (row
+/// pushdown) or their partial-aggregate groups (aggregate pushdown), plus
+/// the accounting the cost models and profile need.
 struct ScanObjectResponse {
-  std::vector<Row> rows;
-  GroupMap groups;
+  ColumnChunk chunk;
+  GroupStates groups;
   /// Rows the store-side scan visited (post block pruning / row range).
   uint64_t rows_visited = 0;
-  /// Rows surviving the predicate + deletes (== rows.size() in row mode).
+  /// Rows surviving the predicate + deletes (== chunk.num_rows() in row
+  /// mode).
   uint64_t rows_output = 0;
   /// Bytes of container objects the store read locally to answer the scan.
   uint64_t bytes_scanned = 0;
-  /// Estimated wire size of the response payload (rows or partials).
+  /// Estimated wire size of the response payload: the chunk's or the
+  /// group keys' WireBytes, plus the states' StateBytes.
   uint64_t response_bytes = 0;
   /// Store-side scan work (decode counters, pruning, kernel calls).
   RosScanStats scan;
@@ -89,7 +86,8 @@ using RawObjectReader =
 /// ScanObject by delegating here with its own raw reader. Reuses the
 /// regular ROS scan pipeline (encoded predicate eval + selective decode),
 /// so pushed results are bit-identical to a local scan of the same
-/// container, then optionally folds exact partial aggregates.
+/// container, then optionally folds exact partial aggregates with the
+/// engine's own group fold (FoldChunksIntoGroups).
 Status ExecuteObjectScan(const RawObjectReader& reader,
                          const ScanObjectRequest& request,
                          ScanObjectResponse* response);

@@ -490,7 +490,8 @@ Result<Oid> CreateLiveAggregateProjection(
                          BuildExecContext(cluster, "", /*seed=*/lap.oid));
     EON_ASSIGN_OR_RETURN(QueryResult all, ExecuteQuery(cluster, scan_all, ctx));
     std::vector<std::pair<std::string, std::vector<Row>>> loads;
-    loads.emplace_back(name, ComputeLiveAggRows(lap, all.rows));
+    loads.emplace_back(name,
+                       ComputeLiveAggRows(lap, base->schema, all.rows));
     Result<uint64_t> v = LoadIntoTables(cluster, loads);
     if (!v.ok()) return v.status();
   }

@@ -107,9 +107,11 @@ Result<uint64_t> BackfillProjection(EonCluster* cluster,
                                     const std::vector<Row>& rows,
                                     const CopyOptions& options = {});
 
-/// The partial-aggregate rows a batch of base rows contributes to a live
-/// aggregate projection (grouped by the LAP's group columns).
+/// The partial-aggregate rows a batch of base rows (typed by
+/// `base_schema`) contributes to a live aggregate projection: the group
+/// fold over the LAP's group columns, one row per group in key order.
 std::vector<Row> ComputeLiveAggRows(const TableDef& lap,
+                                    const Schema& base_schema,
                                     const std::vector<Row>& base_rows);
 
 /// Key → value map of one flattened-column dimension, read through the

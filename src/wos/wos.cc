@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "columnar/sort.h"
 #include "columnar/value_codec.h"
 #include "common/codec.h"
 
@@ -328,65 +327,6 @@ uint64_t Wos::total_unflushed_rows() const {
     }
   }
   return rows;
-}
-
-std::map<ShardId, std::vector<Row>> GroupWosRowsForProjection(
-    const ShardingConfig& sharding, const ProjectionDef& proj,
-    const TableDef& table, const std::vector<Row>& table_rows) {
-  // Project full-width rows onto the projection's column list.
-  std::vector<Row> proj_rows;
-  proj_rows.reserve(table_rows.size());
-  for (const Row& row : table_rows) {
-    Row pr;
-    pr.reserve(proj.columns.size());
-    for (size_t tc : proj.columns) pr.push_back(row[tc]);
-    proj_rows.push_back(std::move(pr));
-  }
-
-  // Shard bucketing, mirroring dml.cc SplitRows.
-  std::map<ShardId, std::vector<Row>> by_shard;
-  if (proj.replicated()) {
-    by_shard[sharding.replica_shard()] = std::move(proj_rows);
-  } else {
-    for (Row& row : proj_rows) {
-      ShardId s = sharding.ShardForHash(proj.SegHashRow(row));
-      by_shard[s].push_back(std::move(row));
-    }
-  }
-
-  // Partition position within the projection, as PartitionColInProj.
-  std::optional<size_t> partition_col;
-  if (table.partition_column.has_value()) {
-    for (size_t pos = 0; pos < proj.columns.size(); ++pos) {
-      if (proj.columns[pos] == *table.partition_column) {
-        partition_col = pos;
-        break;
-      }
-    }
-  }
-
-  // Within each shard: ascending partition groups, each stable-sorted on
-  // the projection sort columns — the concatenation equals scanning the
-  // containers a moveout of these rows would create, in oid order.
-  std::map<ShardId, std::vector<Row>> out;
-  for (auto& [shard, rows] : by_shard) {
-    if (rows.empty()) continue;
-    std::vector<Row>& dst = out[shard];
-    if (!partition_col.has_value()) {
-      SortRowsBy(&rows, proj.sort_columns);
-      dst = std::move(rows);
-      continue;
-    }
-    std::map<Value, std::vector<Row>> by_partition;
-    for (Row& row : rows) {
-      by_partition[row[*partition_col]].push_back(std::move(row));
-    }
-    for (auto& [value, part_rows] : by_partition) {
-      SortRowsBy(&part_rows, proj.sort_columns);
-      for (Row& row : part_rows) dst.push_back(std::move(row));
-    }
-  }
-  return out;
 }
 
 }  // namespace eon

@@ -182,16 +182,6 @@ class Wos {
   std::map<Oid, TableWos> tables_;
 };
 
-/// Mirror of the load path's row placement (dml.cc SplitRows) for the
-/// read path: project full-width table rows onto `proj`, bucket by shard,
-/// and within each shard order groups by ascending partition value with a
-/// stable sort on the projection's sort columns inside each group — the
-/// exact row stream a moveout of these rows would persist per shard, so
-/// WOS+ROS union scans are bit-identical to a flush-then-query oracle.
-std::map<ShardId, std::vector<Row>> GroupWosRowsForProjection(
-    const ShardingConfig& sharding, const ProjectionDef& proj,
-    const TableDef& table, const std::vector<Row>& table_rows);
-
 }  // namespace eon
 
 #endif  // EON_WOS_WOS_H_

@@ -173,14 +173,37 @@ void ExpectRowsEqual(const std::vector<Row>& got,
   }
 }
 
+/// A near-data response's rows (row pushdown) and its groups as
+/// (key, states) pairs (aggregate pushdown).
+std::vector<Row> Rows(const ScanObjectResponse& resp) {
+  return ChunkToRows(resp.chunk);
+}
+
+std::vector<std::pair<Row, std::vector<AggState>>> Groups(
+    const ScanObjectResponse& resp) {
+  const GroupStates& g = resp.groups;
+  const size_t num_aggs =
+      g.num_groups == 0 ? 0 : g.states.size() / g.num_groups;
+  // A global group has no key columns, so no key rows.
+  const std::vector<Row> keys = ChunkToRows(g.keys);
+  std::vector<std::pair<Row, std::vector<AggState>>> out;
+  for (size_t i = 0; i < g.num_groups; ++i) {
+    out.emplace_back(keys.empty() ? Row{} : keys[i],
+                     std::vector<AggState>(
+                         g.states.begin() + i * num_aggs,
+                         g.states.begin() + (i + 1) * num_aggs));
+  }
+  return out;
+}
+
 TEST(ScanObjectTest, MemStoreRowScanMatchesRowWiseOracle) {
   MemObjectStore store;
   BuildNdpContainer(&store, "ndp/c1");
 
   ScanObjectResponse resp;
   ASSERT_TRUE(store.ScanObject(RowScanRequest("ndp/c1"), &resp).ok());
-  ExpectRowsEqual(resp.rows, ExpectedRowScan());
-  EXPECT_EQ(resp.rows_output, resp.rows.size());
+  ExpectRowsEqual(Rows(resp), ExpectedRowScan());
+  EXPECT_EQ(resp.rows_output, Rows(resp).size());
   EXPECT_EQ(resp.rows_visited, 500u);
   EXPECT_GT(resp.bytes_scanned, 0u);
   EXPECT_GT(resp.response_bytes, 0u);
@@ -207,7 +230,7 @@ TEST(ScanObjectTest, PosixStoreMatchesMemStore) {
   ScanObjectResponse a, b;
   ASSERT_TRUE(mem.ScanObject(RowScanRequest("ndp/c1"), &a).ok());
   ASSERT_TRUE(posix.ScanObject(RowScanRequest("ndp/c1"), &b).ok());
-  ExpectRowsEqual(b.rows, a.rows);
+  ExpectRowsEqual(Rows(b), Rows(a));
   EXPECT_EQ(b.bytes_scanned, a.bytes_scanned);
   EXPECT_EQ(b.response_bytes, a.response_bytes);
   EXPECT_EQ(posix.metrics().scans, 1u);
@@ -220,13 +243,13 @@ TEST(ScanObjectTest, AggregatePartialsMatchManualFold) {
   ScanObjectRequest req = RowScanRequest("ndp/c1");
   req.output_columns = {0, 1, 2};  // id, v, s in the pushed row layout.
   req.group_columns = {2};         // GROUP BY s.
-  req.aggregates = {NdpAggSpec{AggFn::kCount, SIZE_MAX},
-                    NdpAggSpec{AggFn::kSum, 1},
-                    NdpAggSpec{AggFn::kMin, 0},
-                    NdpAggSpec{AggFn::kMax, 0}};
+  req.aggregates = {AggColumn{AggFn::kCount, SIZE_MAX},
+                    AggColumn{AggFn::kSum, 1},
+                    AggColumn{AggFn::kMin, 0},
+                    AggColumn{AggFn::kMax, 0}};
   ScanObjectResponse resp;
   ASSERT_TRUE(store.ScanObject(req, &resp).ok());
-  EXPECT_TRUE(resp.rows.empty());
+  EXPECT_TRUE(Rows(resp).empty());
 
   // Manual oracle over the surviving rows.
   std::map<std::string, std::array<int64_t, 4>> want;  // n, sum, min, max
@@ -240,8 +263,8 @@ TEST(ScanObjectTest, AggregatePartialsMatchManualFold) {
     it->second[2] = std::min(it->second[2], r[0].int_value());
     it->second[3] = std::max(it->second[3], r[0].int_value());
   }
-  ASSERT_EQ(resp.groups.size(), want.size());
-  for (const auto& [key, states] : resp.groups) {
+  ASSERT_EQ(Groups(resp).size(), want.size());
+  for (const auto& [key, states] : Groups(resp)) {
     ASSERT_EQ(key.size(), 1u);
     ASSERT_EQ(states.size(), 4u);
     const auto& w = want.at(key[0].str_value());
@@ -288,7 +311,7 @@ TEST(ScanObjectTest, RetryingStoreRetriesTransientScanFailures) {
     ScanObjectResponse resp;
     ASSERT_TRUE(retry.ScanObject(RowScanRequest("ndp/c1"), &resp).ok())
         << "scan " << i;
-    ExpectRowsEqual(resp.rows, want);
+    ExpectRowsEqual(Rows(resp), want);
   }
   EXPECT_GT(retry.total_retries(), 0u);
 }
@@ -705,6 +728,78 @@ TEST(PushdownPlannerChoice, PushedScanShrinksBytesOverNetwork) {
   EXPECT_GT(pushed->profile.pushdown_store_rows_filtered, 0u);
 }
 
+// Cost-based mode on nodes that scan some containers locally (warm) and
+// push others (cold), all holding rows of the same group keys: the
+// pushed partials merge into the node's own groups before the node's
+// partial is accounted as moving to the coordinator, so the rows and the
+// network bytes equal those of the pushdown-off run.
+TEST(PushdownPlannerChoice, WarmAndColdContainersMergePerNodeBeforeTransfer) {
+  auto run = [](int pushdown) -> Result<QueryResult> {
+    SimClock clock;
+    SimStoreOptions sopts;
+    sopts.get_latency_micros = 0;
+    sopts.put_latency_micros = 0;
+    sopts.list_latency_micros = 0;
+    sopts.scan_latency_micros = 0;
+    SimObjectStore store(sopts, &clock);
+    ClusterOptions copts;
+    copts.num_shards = 2;
+    copts.k_safety = 2;
+    copts.exec_threads = 1;
+    copts.pushdown = pushdown;
+    auto c = EonCluster::Create(&store, &clock, copts,
+                                {{"n1", ""}, {"n2", ""}, {"n3", ""}});
+    EON_CHECK(c.ok());
+    EonCluster* cluster = c->get();
+    Schema schema({ColumnDef{"id", DataType::kInt64},
+                   ColumnDef{"v", DataType::kInt64},
+                   ColumnDef{"payload", DataType::kString}});
+    ProjectionSpec proj;
+    proj.name = "events_super";
+    proj.columns = {"id", "v", "payload"};
+    proj.sort_columns = {"id"};
+    proj.segmentation_columns = {"id"};
+    EON_CHECK(CreateTable(cluster, "events", schema, std::nullopt, {proj})
+                  .ok());
+    // Four loads, one container per shard each. The first two go cold
+    // when the caches are cleared; the last two are written through the
+    // caches and stay warm. Every load holds every group key v.
+    for (int64_t load = 0; load < 4; ++load) {
+      if (load == 2) ClearAllCaches(cluster);
+      std::vector<Row> rows;
+      for (int64_t i = load * 1000; i < (load + 1) * 1000; ++i) {
+        rows.push_back(Row{Value::Int(i), Value::Int(i % 10),
+                           Value::Str(std::string(64, 'a' + i % 26))});
+      }
+      EON_CHECK(CopyInto(cluster, "events", rows).ok());
+    }
+    QuerySpec q;
+    q.scan.table = "events";
+    q.scan.columns = {"v", "id"};
+    q.group_by = {"v"};
+    q.aggregates = {{AggFn::kCount, "", "n"},
+                    {AggFn::kSum, "id", "s"},
+                    {AggFn::kMin, "id", "lo"},
+                    {AggFn::kMax, "id", "hi"}};
+    EonSession session(cluster, "", /*seed=*/29);
+    return session.Execute(q);
+  };
+  auto mixed = run(/*pushdown=*/1);
+  auto off = run(/*pushdown=*/0);
+  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  EXPECT_TRUE(mixed->profile.pushdown_aggregates);
+  EXPECT_GT(mixed->profile.pushdown_containers_pushed, 0u);
+  EXPECT_GT(mixed->profile.pushdown_containers_local, 0u);
+  EXPECT_FALSE(mixed->profile.local_group_by);
+  EXPECT_EQ(off->profile.pushdown_containers_pushed, 0u);
+  std::string diff;
+  EXPECT_TRUE(BitIdentical(mixed->rows, off->rows, &diff)) << diff;
+  EXPECT_EQ(mixed->rows.size(), 10u);
+  EXPECT_GT(off->profile.network_bytes, 0u);
+  EXPECT_EQ(mixed->profile.network_bytes, off->profile.network_bytes);
+}
+
 // The dc_store_requests system table grows op="scan" rows carrying
 // bytes_scanned, queryable through the ordinary engine path.
 TEST(PushdownPlannerChoice, ScanRequestsLandInDataCollector) {
@@ -789,12 +884,12 @@ TEST(PushdownRace, ConcurrentScanObjectCallsAreIndependent) {
         ScanObjectRequest req = RowScanRequest("ndp/c1");
         if ((t + i) % 2 == 1) {
           // Interleave aggregate pushes over the same files.
-          req.aggregates = {NdpAggSpec{AggFn::kCount, SIZE_MAX}};
+          req.aggregates = {AggColumn{AggFn::kCount, SIZE_MAX}};
           req.group_columns = {};
           ScanObjectResponse resp;
           if (!store.ScanObject(req, &resp).ok() ||
-              resp.groups.size() != 1 ||
-              resp.groups.begin()
+              Groups(resp).size() != 1 ||
+              Groups(resp).begin()
                       ->second[0]
                       .Finalize(AggFn::kCount, DataType::kInt64)
                       .int_value() != static_cast<int64_t>(want.size())) {
@@ -804,7 +899,7 @@ TEST(PushdownRace, ConcurrentScanObjectCallsAreIndependent) {
         }
         ScanObjectResponse resp;
         if (!store.ScanObject(req, &resp).ok() ||
-            resp.rows.size() != want.size()) {
+            Rows(resp).size() != want.size()) {
           bad.fetch_add(1);
         }
       }
